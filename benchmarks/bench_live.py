@@ -9,8 +9,8 @@ epoch before any speedup is reported.
 
 Expected shape: on AntiCor-2D (n = 2,000) the live index is >= 3x
 faster amortized (initial builds included) — incremental skyline
-maintenance, the incrementally re-priced candidate-MHR multiset, and
-tau-hint warm starts remove almost all per-epoch rebuild work.  On
+maintenance, warm delta-nets and tau-hint warm starts remove almost all
+per-epoch rebuild work.  On
 AntiCor-6D the shared BiGreedy+ greedy dominates both sides, so the gap
 is small; the live side still wins on update latency.
 

@@ -20,8 +20,8 @@ segment spills a mutated ``LiveFairHMSIndex`` through a
 applied writes.
 
 Expected shape: on AntiCor-2D (n = 2,000) reload is >= 5x faster than
-rebuild-and-serve — the dominant cold costs (candidate-MHR enumeration,
-engine matrices) are exactly what the snapshot persists.
+rebuild-and-serve — the dominant cold costs (the skyline, IntCov
+solves, engine matrices) are exactly what the snapshot persists.
 ``test_snapshot_reload_speedup_2d`` asserts the 5x floor directly.
 
 Run as a script for a smoke check (used by CI)::

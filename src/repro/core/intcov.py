@@ -2,12 +2,32 @@
 
 Pipeline (Algorithm 1):
 
-1. Enumerate every value the optimal MHR can take (array ``H``): the
-   happiness ratios of single points at the axis directions and of point
-   pairs at the direction where their scores tie ([Asudeh et al. 2017,
-   Theorem 2] adapted to happiness ratios).
-2. Binary-search the largest ``tau in H`` for which the decision problem —
-   *is there a fair size-k set with mhr >= tau?* — answers yes.
+1. The optimal MHR is one of the values in ``H``: the happiness ratios of
+   single points at the axis directions and of point pairs at the
+   direction where their scores tie ([Asudeh et al. 2017, Theorem 2]
+   adapted to happiness ratios).  :func:`candidate_mhr_values` lists all
+   ``O(n^2)`` of them; the search never does.
+2. Find the largest ``tau in H`` for which the decision problem — *is
+   there a fair size-k set with mhr >= tau?* — answers yes, holding at
+   most ``O(n)`` members of ``H`` at a time (:class:`TauLadder`):
+
+   a. **ladder** — the ``2n`` axis values plus the values of ``~n``
+      seeded random pairs, sorted and deduplicated;
+   b. **bracket** — binary-search the ladder down to adjacent rungs
+      ``tau_a`` (feasible) ``< tau_b`` (infeasible);
+   c. **list** ``H`` strictly between them: a pair's value lies in the
+      bracket iff its tie direction lies in both points' lost flanks
+      ``I_tau_a(p) \\ I_tau_b(p)``, so sorting the ``<= 2n`` flanks and
+      joining the overlapping ones yields every such pair in
+      ``O(n log n + pairs)``; each is priced exactly and kept when its
+      value falls strictly inside;
+   d. binary-search the listed values.
+
+   This is the sample-then-list idea of randomized slope selection
+   (Matoušek, IPL 1991).  Every value is computed with the same float
+   expression :func:`candidate_mhr_values` uses, and the cover is a
+   function of ``tau`` alone, so answers are bit-identical to binary
+   search over the full ``H``.
 3. Decide each ``tau`` by reducing to fair interval cover: a point helps at
    the directions where its score line clears ``tau`` times the upper
    envelope, a single sub-interval of ``[0, 1]``; a fair set of intervals
@@ -18,6 +38,7 @@ Pipeline (Algorithm 1):
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from time import perf_counter
 
 import numpy as np
@@ -26,15 +47,55 @@ from ..data.dataset import Dataset
 from ..fairness.constraints import FairnessConstraint
 from ..fairness.matroid import FairnessMatroid
 from ..geometry.envelope import Envelope, tau_intervals_bulk, upper_envelope
+from ..hms.exact import mhr_exact_2d_with_env
 from .intervalcover import GroupIntervals, fair_interval_cover
 from .solution import Solution
 
-__all__ = ["intcov", "candidate_mhr_values"]
+__all__ = ["TauLadder", "intcov", "candidate_mhr_values"]
 
-# Shared with repro.serving.candidates, whose incrementally maintained
-# multiset must reproduce this enumeration bit for bit.
 _PAIR_BLOCK = 512  # pairwise candidate enumeration block size (memory bound)
 _VALUE_TOL = 1e-12  # candidate filter: keep values in [0, 1 + _VALUE_TOL]
+_LADDER_SEED = 2208_06553  # fixed: moves decision counts, never answers
+# Flanks are widened by a margin in ratio space and a pad in lambda, so a
+# pair whose priced value lies inside the bracket is always joined, even
+# where an interval endpoint is ill-conditioned (a score line nearly
+# parallel to tau times the envelope).
+_FLANK_MARGIN = 1e-9
+_FLANK_PAD = 1e-9
+_BRACKETS_KEPT = 64  # listed brackets cached per ladder (LRU)
+
+
+def _axis_values(x: np.ndarray, y: np.ndarray, envelope: Envelope) -> np.ndarray:
+    """Every point's happiness ratio at the two axis directions."""
+    return np.concatenate([y / envelope.value(0.0), x / envelope.value(1.0)])
+
+
+def _pair_values(
+    y: np.ndarray,
+    slope: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    envelope: Envelope,
+) -> np.ndarray:
+    """The common happiness ratio of each pair ``(rows[i], cols[i])``.
+
+    ``rows < cols`` elementwise: the lower index's score line is the one
+    evaluated at the tie direction.  Pairs whose scores tie outside
+    ``[0, 1]`` (or never) contribute nothing.  This is the one float
+    expression for a member of ``H``; the enumeration and the bracket
+    listing both call it, which keeps their values bit-identical.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (y[cols] - y[rows]) / (slope[rows] - slope[cols])
+    valid = (lam >= 0.0) & (lam <= 1.0) & np.isfinite(lam)
+    rows, lam = rows[valid], lam[valid]
+    return (y[rows] + slope[rows] * lam) / np.asarray(envelope.value(lam))
+
+
+def _admit(values: np.ndarray) -> np.ndarray:
+    """Drop values outside ``[0, 1 + _VALUE_TOL]``; clip the rest to [0, 1]."""
+    values = values[(values >= 0.0) & (values <= 1.0 + _VALUE_TOL)]
+    return np.clip(values, 0.0, 1.0)
 
 
 def candidate_mhr_values(points: np.ndarray, envelope: Envelope | None = None) -> np.ndarray:
@@ -44,36 +105,237 @@ def candidate_mhr_values(points: np.ndarray, envelope: Envelope | None = None) -
     each pair of points, their common happiness ratio at the direction
     where their scores tie (when that direction is nonnegative).  The
     optimum of FairHMS always equals one of these ``O(n^2)`` values.
+    IntCov never materializes this array; it is the reference its search
+    is tested against.
     """
     if envelope is None:
         envelope = upper_envelope(points)
     x = points[:, 0]
     y = points[:, 1]
     slope = x - y
-    top_at_0 = envelope.value(0.0)
-    top_at_1 = envelope.value(1.0)
-    chunks = [y / top_at_0, x / top_at_1]
+    chunks = [_axis_values(x, y, envelope)]
     n = points.shape[0]
     for start in range(0, n, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n)
         # Pairs (i, j) with i in [start, stop) and j > i.
-        slope_diff = slope[start:stop, None] - slope[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = (y[None, :] - y[start:stop, None]) / slope_diff
-        rows, cols = np.nonzero(
-            (lam >= 0.0) & (lam <= 1.0) & np.isfinite(lam)
+        rows, cols = np.nonzero(np.arange(n)[None, :] > np.arange(start, stop)[:, None])
+        chunks.append(_pair_values(y, slope, rows + start, cols, envelope))
+    return np.unique(_admit(np.concatenate(chunks)))
+
+
+class TauLadder:
+    """A sorted sample of ``H`` (the rungs) and the exact ``H`` between rungs.
+
+    Depends only on the points and their envelope — never on a
+    constraint — so the serving layer keeps one per skyline beside the
+    envelope (:meth:`repro.serving.SolverArtifacts.tau_ladder`) and every
+    query reuses its rungs and listed brackets.
+    """
+
+    def __init__(self, points: np.ndarray, envelope: Envelope) -> None:
+        self._points = points
+        self._envelope = envelope
+        x = points[:, 0]
+        self._y = points[:, 1]
+        self._slope = x - self._y
+        n = points.shape[0]
+        rng = np.random.default_rng(_LADDER_SEED)
+        i = rng.integers(0, n, size=n)
+        j = rng.integers(0, n, size=n)
+        distinct = i != j
+        rows = np.minimum(i, j)[distinct]
+        cols = np.maximum(i, j)[distinct]
+        sampled = _pair_values(self._y, self._slope, rows, cols, envelope)
+        self.rungs = np.unique(
+            _admit(np.concatenate([_axis_values(x, self._y, envelope), sampled]))
         )
-        upper_pairs = cols > rows + start
-        rows, cols = rows[upper_pairs], cols[upper_pairs]
-        if rows.size == 0:
-            continue
-        lam_vals = lam[rows, cols]
-        scores_at = y[rows + start] + slope[rows + start] * lam_vals
-        tops = envelope.value(lam_vals)
-        chunks.append(scores_at / np.asarray(tops))
-    values = np.concatenate(chunks)
-    values = values[(values >= 0.0) & (values <= 1.0 + _VALUE_TOL)]
-    return np.unique(np.clip(values, 0.0, 1.0))
+        self._brackets: OrderedDict[int, np.ndarray] = OrderedDict()
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the rungs and the cached brackets."""
+        return int(
+            self.rungs.nbytes
+            + sum(values.nbytes for values in list(self._brackets.values()))
+        )
+
+    def bracket(self, rank: int) -> np.ndarray:
+        """``H`` strictly between ``rungs[rank]`` and ``rungs[rank + 1]``.
+
+        ``rank = -1`` opens the lower side and ``rank = len(rungs) - 1``
+        the upper one.  Ascending and deduplicated; cached per rank.
+        """
+        listed = self._brackets.get(rank)
+        if listed is None:
+            listed = self._list(rank)
+            self._brackets[rank] = listed
+            while len(self._brackets) > _BRACKETS_KEPT:
+                self._brackets.popitem(last=False)
+        else:
+            self._brackets.move_to_end(rank)
+        return listed
+
+    def _list(self, rank: int) -> np.ndarray:
+        n = self._points.shape[0]
+        tau_a = float(self.rungs[rank]) if rank >= 0 else None
+        tau_b = float(self.rungs[rank + 1]) if rank + 1 < self.rungs.size else None
+        # Outer intervals: where a point's ratio reaches tau_a (less the
+        # margin); inner: where it reaches tau_b (plus the margin).  The
+        # flank a point loses between them holds every tie direction at
+        # which its ratio lies inside the bracket.
+        if tau_a is None or tau_a - _FLANK_MARGIN <= 0.0:
+            lo_a, hi_a, ok_a = np.zeros(n), np.ones(n), np.ones(n, dtype=bool)
+        else:
+            lo_a, hi_a, ok_a = tau_intervals_bulk(
+                self._points, self._envelope, tau_a - _FLANK_MARGIN
+            )
+        if tau_b is None or tau_b + _FLANK_MARGIN > 1.0:
+            lo_b = hi_b = np.zeros(n)
+            ok_b = np.zeros(n, dtype=bool)
+        else:
+            lo_b, hi_b, ok_b = tau_intervals_bulk(
+                self._points, self._envelope, tau_b + _FLANK_MARGIN
+            )
+        # A point whose inner interval is empty lost all of its outer one;
+        # otherwise it lost a left and a right flank.
+        whole = np.nonzero(ok_a & ~ok_b)[0]
+        split = np.nonzero(ok_a & ok_b)[0]
+        left = (lo_a[split], lo_b[split])
+        right = (hi_b[split], hi_a[split])
+        flank_lo = np.concatenate([lo_a[whole], np.minimum(*left), np.minimum(*right)])
+        flank_hi = np.concatenate([hi_a[whole], np.maximum(*left), np.maximum(*right)])
+        owner = np.concatenate([whole, split, split])
+        # A zero-width flank lost nothing: at that direction the point's
+        # ratio already clears tau_b, or never reaches tau_a (both ends
+        # clipped to 0 or 1 is the common case, and it would otherwise
+        # join every point with every other).
+        lost = flank_hi > flank_lo
+        flank_lo = flank_lo[lost] - _FLANK_PAD
+        flank_hi = flank_hi[lost] + _FLANK_PAD
+        owner = owner[lost]
+        order = np.argsort(flank_lo, kind="stable")
+        flank_lo, flank_hi, owner = flank_lo[order], flank_hi[order], owner[order]
+        # Overlap join: flank f meets every later flank that starts
+        # before f ends.
+        first_after = np.arange(1, flank_lo.size + 1)
+        counts = np.maximum(
+            np.searchsorted(flank_lo, flank_hi, side="right") - first_after, 0
+        )
+        total = int(counts.sum())
+        f = np.repeat(np.arange(flank_lo.size), counts)
+        g = (
+            np.arange(total)
+            - np.repeat(np.cumsum(counts) - counts, counts)
+            + np.repeat(first_after, counts)
+        )
+        p, q = owner[f], owner[g]
+        distinct = p != q
+        p, q = p[distinct], q[distinct]
+        values = _admit(
+            _pair_values(
+                self._y, self._slope, np.minimum(p, q), np.maximum(p, q), self._envelope
+            )
+        )
+        # Axis values are all rungs, so only pairs can lie strictly inside.
+        inside = np.ones(values.shape[0], dtype=bool)
+        if tau_a is not None:
+            inside &= values > tau_a
+        if tau_b is not None:
+            inside &= values < tau_b
+        return np.unique(values[inside])
+
+
+class _Search:
+    """Largest feasible value of one ascending array, in any probe order.
+
+    Feasibility is monotone in ``tau``, so each probe narrows the live
+    range ``[lo, hi]``; any order that empties it ends on the same value.
+    ``best`` is ``(tau, cover)`` of the largest feasible value probed.
+    """
+
+    def __init__(self, values: np.ndarray, decide) -> None:
+        self.values = values
+        self._decide = decide
+        self.lo = 0
+        self.hi = int(values.shape[0]) - 1
+        self.best: tuple[float, list[int]] | None = None
+
+    def probe(self, rank: int) -> bool:
+        tau = float(self.values[rank])
+        cover = self._decide(tau)
+        if cover is None:
+            self.hi = rank - 1
+            return False
+        self.best = (tau, cover)
+        self.lo = rank + 1
+        return True
+
+    def gallop(self, start: int) -> None:
+        """Probe ``start``, then double the step away from it.
+
+        When ``start`` is the optimum this certifies it in two probes
+        (it is feasible, its successor is not); near the optimum the
+        bracket closes in ``O(log(rank distance))`` probes.
+        """
+        if self.probe(start):
+            step = 1
+            while self.lo <= self.hi:
+                if not self.probe(min(start + step, self.hi)):
+                    break
+                step *= 2
+        else:
+            step = 1
+            while self.lo <= self.hi:
+                if self.probe(max(start - step, self.lo)):
+                    break
+                step *= 2
+
+    def bisect(self) -> None:
+        while self.lo <= self.hi:
+            self.probe((self.lo + self.hi) // 2)
+
+
+def _search(ladder: TauLadder, decide, tau_hint: float | None):
+    """The largest feasible member of ``H`` as ``(tau, cover)``, or None.
+
+    Also returns how many listed values the search held beside the rungs.
+    """
+    rungs = ladder.rungs
+    steps = _Search(rungs, decide)
+    listed = 0
+    if tau_hint is not None and rungs.size:
+        # List the hint's own bracket first and gallop from the hint's
+        # rank in it.  Rung, listed values and next rung are consecutive
+        # members of H, so a hint that is the optimum is certified in two
+        # probes: it is feasible and its successor is not.
+        r = int(np.searchsorted(rungs, tau_hint, side="right")) - 1
+        r = min(max(r, 0), rungs.size - 1)
+        near_listed = ladder.bracket(r)
+        listed += near_listed.shape[0]
+        near = _Search(
+            np.concatenate([rungs[r : r + 1], near_listed, rungs[r + 1 : r + 2]]),
+            decide,
+        )
+        after = int(np.searchsorted(near.values, tau_hint, side="right"))
+        near.gallop(min(max(after - 1, 0), near.hi))
+        near.bisect()
+        if near.lo == near.values.shape[0] and r + 1 < rungs.size:
+            # Rung r + 1 is feasible: the optimum lies above this bracket.
+            steps.lo, steps.best = r + 2, near.best
+            if steps.lo <= steps.hi:
+                steps.gallop(steps.lo)
+        elif near.hi < 0:
+            # Rung r is infeasible: the optimum lies below it.
+            steps.hi = r - 1
+            if steps.lo <= steps.hi:
+                steps.gallop(steps.hi)
+        else:
+            return near.best, listed
+    steps.bisect()
+    final = _Search(ladder.bracket(steps.lo - 1), decide)
+    listed += final.values.shape[0]
+    final.bisect()
+    return (final.best if final.best is not None else steps.best), listed
 
 
 def _intervals_by_group(
@@ -151,17 +413,17 @@ def intcov(
             correctness does not require it, speed benefits from it).
         constraint: group bounds with ``constraint.k`` the solution size.
         artifacts: optional :class:`repro.serving.SolverArtifacts` bound to
-            ``dataset``; reuses the upper envelope and the ``O(n^2)``
-            candidate-MHR enumeration across calls — both depend only on
+            ``dataset``; reuses the upper envelope and the :class:`TauLadder`
+            (rungs and listed brackets) across calls — both depend only on
             the points, not on ``constraint``, so results are unchanged.
         tau_hint: optional guess for the optimal MHR (e.g. last epoch's
             optimum from a live index, or a neighboring ``k``'s optimum
-            from a multi-k batch).  The search starts at the hint's rank
-            in the candidate array: when the hint *is* the optimum it is
-            certified in two decision evaluations, and otherwise a
-            bracketed galloping (exponential) search homes in on the
-            optimum in ``O(log(rank distance))`` evaluations instead of
-            ``O(log n^2)``.  Feasibility is monotone in ``tau`` and every
+            from a multi-k batch).  The search lists the hint's ladder
+            bracket first and starts at the hint's rank in it: when the
+            hint *is* the optimum it is certified in two decision
+            evaluations, and otherwise a galloping (exponential) search
+            homes in on the optimum in ``O(log(rank distance))``
+            evaluations.  Feasibility is monotone in ``tau`` and every
             probe is a real decision evaluation, so the returned solution
             is identical with any hint — only the
             ``decision_evaluations`` diagnostic differs.
@@ -196,14 +458,17 @@ def intcov(
     points = dataset.points
     if artifacts is not None and artifacts.matches(dataset):
         envelope = artifacts.envelope()
-        candidates = artifacts.mhr_candidates()
+        ladder = artifacts.tau_ladder()
     else:
         envelope = upper_envelope(points)
-        candidates = candidate_mhr_values(points, envelope)
+        ladder = TauLadder(points, envelope)
     group_masks = [dataset.labels == g for g in range(dataset.num_groups)]
     t_geometry = perf_counter() - t0
+    evaluations = 0
 
     def decide(tau: float):
+        nonlocal evaluations
+        evaluations += 1
         buckets = None if bucket_cache is None else bucket_cache.get(tau)
         if buckets is None:
             buckets = _intervals_by_group(points, envelope, tau, group_masks)
@@ -212,55 +477,8 @@ def intcov(
         return fair_interval_cover(buckets, constraint)
 
     t0 = perf_counter()
-    best_set: list[int] | None = None
-    best_tau = 0.0
-    evaluations = 0
-    n_cand = int(candidates.shape[0])
-    lo, hi = 0, n_cand - 1
-
-    def probe(rank: int) -> bool:
-        """One decision evaluation at candidate ``rank``.
-
-        Narrows the live bracket ``[lo, hi]`` using monotonicity of
-        feasibility in ``tau`` and tracks the best cover seen, so any
-        probe order that shrinks the bracket to empty finds exactly the
-        optimum the plain binary search would.
-        """
-        nonlocal best_set, best_tau, lo, hi, evaluations
-        tau = float(candidates[rank])
-        cover = decide(tau)
-        evaluations += 1
-        if cover is None:
-            hi = rank - 1
-            return False
-        best_set, best_tau = cover, tau
-        lo = rank + 1
-        return True
-
-    if tau_hint is not None and n_cand:
-        # Warm start: probe at the hint's rank, then gallop away from it.
-        # When the hint is the optimum this certifies it in two decision
-        # evaluations (hint feasible, next candidate not); when it is
-        # merely near the optimum, the exponential bracket reaches it in
-        # O(log(rank distance)) probes instead of O(log n_cand).
-        after = int(np.searchsorted(candidates, tau_hint, side="right"))
-        start = min(max(after - 1, 0), n_cand - 1)
-        if probe(start):
-            step = 1
-            while lo <= hi:
-                if not probe(min(start + step, hi)):
-                    break
-                step *= 2
-        else:
-            step = 1
-            while lo <= hi:
-                if probe(max(start - step, lo)):
-                    break
-                step *= 2
-
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        probe(mid)
+    best, listed = _search(ladder, decide, tau_hint)
+    best_tau, best_set = (0.0, None) if best is None else best
     t_search = perf_counter() - t0
 
     t0 = perf_counter()
@@ -276,13 +494,14 @@ def intcov(
         algorithm="IntCov",
         constraint=constraint,
         stats={
-            "num_candidates": n_cand,
+            "num_candidates": int(ladder.rungs.shape[0]) + listed,
             "decision_evaluations": evaluations,
             "cover_size": len(best_set),
             "tau": best_tau,
         },
     )
-    solution.mhr_estimate = solution.mhr()
+    # The search's envelope is the database envelope mhr() would rebuild.
+    solution.mhr_estimate = mhr_exact_2d_with_env(solution.points, envelope)
     solution.stats["phases"] = {
         "geometry": t_geometry,
         "search": t_search,

@@ -95,20 +95,24 @@ def upper_envelope(points) -> Envelope:
     check_dim(arr, 2)
     lines = _lines_of(arr)
     order = np.lexsort((-lines[:, 1], lines[:, 0]))
+    # The loops below run on Python floats: the same IEEE doubles as the
+    # numpy scalars, without numpy's per-element indexing overhead.
+    slope = lines[:, 0].tolist()
+    intercept = lines[:, 1].tolist()
     # Deduplicate (near-)equal slopes, keeping the highest intercept.  The
     # comparison must be by value, not sort position: slopes that are only
     # a few ulps apart sort by rounding noise.
     kept: list[int] = []
-    for idx in order:
-        if kept and abs(lines[kept[-1], 0] - lines[idx, 0]) <= _EPS:
-            if lines[idx, 1] > lines[kept[-1], 1]:
-                kept[-1] = int(idx)
+    for idx in order.tolist():
+        if kept and abs(slope[kept[-1]] - slope[idx]) <= _EPS:
+            if intercept[idx] > intercept[kept[-1]]:
+                kept[-1] = idx
             continue
-        kept.append(int(idx))
+        kept.append(idx)
 
     def crossing(i: int, j: int) -> float:
         """lam where lines i and j intersect (slopes differ)."""
-        return (lines[j, 1] - lines[i, 1]) / (lines[i, 0] - lines[j, 0])
+        return (intercept[j] - intercept[i]) / (slope[i] - slope[j])
 
     # Maintain the hull stack: with slopes strictly increasing, the line
     # on top becomes useless once the new line overtakes the second-from-top
@@ -132,7 +136,7 @@ def upper_envelope(points) -> Envelope:
             pieces.append((start, end, line_idx))
     # Guarantee coverage of [0, 1] even under numerical degeneracy.
     if not pieces:
-        best = max(kept, key=lambda i: lines[i, 1])
+        best = max(kept, key=lambda i: intercept[i])
         pieces = [(0.0, 1.0, best)]
     pieces[0] = (0.0, pieces[0][1], pieces[0][2])
     pieces[-1] = (pieces[-1][0], 1.0, pieces[-1][2])

@@ -17,7 +17,7 @@ job is ordering, not accuracy:
   be re-calibrated freely without moving any answer.
 
 Costs decompose into the dataset-level build a cold cache pays once
-(IntCov's envelope + ``O(n^2)`` candidate enumeration; a BiGreedy
+(IntCov's envelope + tau ladder, ``O(n log n)``; a BiGreedy
 ``(m, n)`` score matrix) and the per-solve work, scaled by constants
 calibrated against the repo's own bench reports on commodity hardware.
 Deterministic by construction: same stats, same numbers.
@@ -36,8 +36,7 @@ __all__ = ["predict_cost", "predict_costs"]
 # magnitude from BENCH_serving/BENCH_server measurements: an n=1500 2-D
 # cold geometry build lands around tens of milliseconds, a warm IntCov
 # solve around a millisecond, a BiGreedy+ solve a few milliseconds.
-_GEOMETRY_UNIT = 2.0e-8  # candidate-MHR enumeration, ~n^2 vectorized
-_ENVELOPE_UNIT = 3.0e-7  # upper-envelope construction, ~n log n
+_ENVELOPE_UNIT = 3.0e-7  # upper envelope + tau ladder, ~n log n
 _SEARCH_UNIT = 1.5e-7  # tau-descent work per candidate per step
 _MATRIX_UNIT = 6.0e-9  # (m, n) score-ratio matrix build
 _GREEDY_UNIT = 2.5e-8  # greedy sweep work per direction per step
@@ -48,7 +47,7 @@ def _intcov_cost(stats: InstanceStats) -> float:
     n = max(1, stats.n)
     build = 0.0
     if not stats.warm_geometry:
-        build = _GEOMETRY_UNIT * n * n + _ENVELOPE_UNIT * n * math.log2(n + 1)
+        build = _ENVELOPE_UNIT * n * math.log2(n + 1)
     # Tau descent: ~log2(candidates) galloping steps, each scanning the
     # interval structure once per group bound.
     steps = math.log2(n + 1) + 1.0

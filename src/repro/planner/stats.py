@@ -5,8 +5,8 @@ instance that the cost model and the feedback estimators key on: the
 solver-input size and shape (``n``, ``dim``, ``groups``), the query
 (``k``, the interval-cover DP state count), how much of the per-dataset
 artifact cache is already warm (the single biggest cost cliff — a cold
-2-D dataset pays the ``O(n^2)`` candidate enumeration, a warm one pays
-milliseconds), and the gateway queue depth at planning time.
+dataset builds a BiGreedy score matrix, or IntCov's envelope and tau
+ladder), and the gateway queue depth at planning time.
 
 Stats are plain frozen values: collecting them never mutates the index
 or the artifacts, so planning is free to happen on any thread that
@@ -37,7 +37,7 @@ class InstanceStats:
     groups: int
     k: int
     dp_states: int
-    warm_geometry: bool  #: 2-D envelope + candidate-MHR values cached
+    warm_geometry: bool  #: 2-D envelope cached
     warm_engines: int  #: truncated-MHR engines cached (BiGreedy family)
     queue_depth: int  #: requests waiting on this dataset at plan time
 
@@ -72,8 +72,7 @@ def instance_stats(
         # Apply staged invalidation first: an engine a live write dirtied
         # must read as cold, exactly as solve_fairhms would treat it.
         artifacts.flush_invalidations()
-        envelope, candidates = artifacts.cached_geometry()
-        warm_geometry = envelope is not None and candidates is not None
+        warm_geometry = artifacts.cached_envelope() is not None
         warm_engines = len(artifacts.cached_engines())
     return InstanceStats(
         dataset=str(dataset),

@@ -2,8 +2,8 @@
 
 Everything a warm :class:`~repro.serving.index.FairHMSIndex` holds is a
 deterministic array — the normalized dataset, the per-group skyline, the
-delta-nets, the engines' score-ratio matrices, IntCov's envelope and
-candidate-MHR values, and the memoized solution indices.  A
+delta-nets, the engines' score-ratio matrices, IntCov's envelope, and
+the memoized solution indices.  A
 :class:`SnapshotStore` persists those arrays bit-exactly (one ``npz`` +
 one JSON manifest per snapshot) so that
 
@@ -202,18 +202,16 @@ def _export_index(name: str, index: FairHMSIndex) -> tuple[dict, dict]:
                 arrays[f"engine.{m}.{seed}"] = engine.ratios
                 engine_keys.append([int(m), int(seed)])
             if not live:
-                # Live geometry is recomputed by the restore refresh (the
-                # candidate cache must own its incremental state anyway).
-                envelope, candidates = artifacts.cached_geometry()
-                if envelope is not None and candidates is not None:
+                # Live geometry is rebuilt lazily after the restore.
+                envelope = artifacts.cached_envelope()
+                if envelope is not None:
                     arrays["envelope.breaks"] = envelope.breaks
                     arrays["envelope.lines"] = envelope.lines
                     arrays["envelope.point_index"] = envelope.point_index
-                    arrays["mhr_candidates"] = candidates
         manifest["artifacts"] = {
             "nets": net_keys,
             "engines": engine_keys,
-            "geometry": "mhr_candidates" in arrays,
+            "geometry": "envelope.breaks" in arrays,
         }
         return arrays, manifest
 
@@ -296,12 +294,14 @@ def _restore_artifacts(index: FairHMSIndex, manifest: dict, arrays: dict) -> Non
             TruncatedEngine.from_ratios(arrays[f"engine.{m}.{seed}"], arrays[net_key]),
         )
     if block.get("geometry"):
+        # Older snapshots also carry IntCov's full candidate array; the
+        # search no longer needs it, so only the envelope is restored.
         envelope = Envelope(
             breaks=arrays["envelope.breaks"],
             lines=arrays["envelope.lines"],
             point_index=arrays["envelope.point_index"],
         )
-        artifacts.prime_geometry(envelope, arrays["mhr_candidates"])
+        artifacts.prime_geometry(envelope)
 
 
 # --------------------------------------------------------------------- #

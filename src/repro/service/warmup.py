@@ -2,8 +2,8 @@
 
 `BENCH_server.json` told the story: p50 a few milliseconds, p99 close to
 a second — the tail was entirely *first* queries paying a dataset's cold
-start (index build, then the IntCov envelope + O(n^2) candidate-MHR
-enumeration, or a BiGreedy delta-net score matrix).  The
+start (index build, then the IntCov envelope and tau ladder, or a
+BiGreedy delta-net score matrix).  The
 :class:`Warmer` is a small background thread that pays those costs ahead
 of traffic: it scans the registry for registered-but-cold datasets,
 builds their indexes, primes the solver artifacts, and (optionally)
@@ -48,7 +48,7 @@ class Warmer:
             builds; each primed dataset additionally counts one
             ``warmups`` metric.
         ks: solution sizes to warm.  For 2-D datasets the geometry
-            (envelope + candidate-MHR values) is primed — it is shared by
+            (envelope + tau ladder) is primed — it is shared by
             every ``k``; for higher dimensions one truncated-MHR engine
             per ``k`` (at the paper's default net size) is built.
         solve: additionally pre-solve each ``k`` with default parameters
@@ -205,7 +205,7 @@ class Warmer:
         metrics), and priming pays the **predicted-most-expensive** work
         first — an interrupted pass has already shaved the worst of the
         cold tail.  What gets primed follows the plan's algorithm: the
-        shared envelope + candidate-MHR geometry for IntCov, one
+        shared envelope + tau ladder for IntCov, one
         truncated-MHR engine per ``k`` for the BiGreedy family.
         """
         from ..core.bigreedy import default_net_size
@@ -228,8 +228,7 @@ class Warmer:
             if not plans and skyline.dim == 2:
                 # Every standard k infeasible, but the geometry is shared
                 # by ad-hoc constraints too — keep the old guarantee.
-                artifacts.envelope()
-                artifacts.mhr_candidates()
+                artifacts.tau_ladder()
             seed = index.serving_config()["default_seed"]
             for k, plan in plans:
                 if self._stop.is_set():
@@ -237,8 +236,7 @@ class Warmer:
                 if plan.algorithm == "IntCov":
                     # Shared by every k: the first IntCov plan pays it,
                     # the rest find it warm.
-                    artifacts.envelope()
-                    artifacts.mhr_candidates()
+                    artifacts.tau_ladder()
                 else:
                     engine_seed = plan.solver_kwargs().get("seed", seed)
                     artifacts.engine(

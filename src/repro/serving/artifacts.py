@@ -3,8 +3,9 @@
 Every FairHMS solver starts from the same dataset-dependent (but
 constraint-independent) state: BiGreedy needs a delta-net and the
 ``(m, n)`` score-ratio matrix of a :class:`~repro.hms.truncated.
-TruncatedEngine`; IntCov needs the upper score-line envelope and the
-``O(n^2)`` candidate-MHR enumeration.  :class:`SolverArtifacts` owns one
+TruncatedEngine`; IntCov needs the upper score-line envelope and its
+:class:`~repro.core.intcov.TauLadder` (sampled rungs of the candidate-MHR
+set plus the brackets listed between them).  :class:`SolverArtifacts` owns one
 dataset and lazily builds and caches each artifact on first use, so a
 query-serving layer (or any caller issuing many solves against one
 dataset) pays for each at most once.
@@ -18,7 +19,7 @@ Cache keys and determinism:
 * non-integer seeds (``None`` = fresh entropy, or a live ``Generator``)
   are *bypassed*, not cached: freezing them would silently change the
   caller's randomness semantics;
-* the envelope and candidate-MHR values depend only on the points and are
+* the envelope and the tau ladder depend only on the points and are
   cached unconditionally (2-D datasets only).
 
 Artifacts are bound to one :class:`~repro.data.dataset.Dataset` *object*:
@@ -30,7 +31,7 @@ Epochs and staged invalidation (live serving):
 The all-or-nothing :meth:`clear` is too blunt for a live index whose
 dataset mutates between queries — most updates leave the solver-input
 skyline unchanged, and even a changed skyline invalidates only the
-*data-dependent* artifacts (engines, envelope, candidate MHRs) while the
+*data-dependent* artifacts (engines, envelope, tau ladder) while the
 delta-nets, which depend on ``(m, d, seed)`` alone, stay valid.  So a
 data change is recorded with :meth:`bump_epoch` (same dataset object,
 e.g. population counts shifted) or :meth:`rebind` (new skyline dataset
@@ -45,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._rng import ensure_rng
-from ..core.intcov import candidate_mhr_values
+from ..core.intcov import TauLadder
 from ..data.dataset import Dataset
 from ..geometry.deltanet import sample_directions
 from ..geometry.envelope import Envelope, upper_envelope
@@ -81,10 +82,10 @@ class SolverArtifacts:
         self._nets: dict[tuple[int, int], np.ndarray] = {}
         self._engines: dict[tuple[int, int], TruncatedEngine] = {}
         self._envelope: Envelope | None = None
-        self._mhr_candidates: np.ndarray | None = None
+        self._ladder: TauLadder | None = None
         self._epoch = 0
         self._dirty_engines = False
-        self._dirty_geometry = False  # envelope + candidate-MHR values
+        self._dirty_geometry = False  # envelope + tau ladder
         self.counters = {
             "net_hits": 0,
             "net_misses": 0,
@@ -124,8 +125,8 @@ class SolverArtifacts:
         ``skyline_changed=False`` records a data version the solver input
         is insensitive to (e.g. only population counts moved): every
         cached artifact stays warm and valid.  ``skyline_changed=True``
-        marks the engines and the 2-D geometry (envelope + candidate
-        MHRs) dirty; they are dropped lazily at the next flush.  Nets are
+        marks the engines and the 2-D geometry (envelope + tau ladder)
+        dirty; they are dropped lazily at the next flush.  Nets are
         never invalidated — they depend only on ``(m, d, seed)``.
 
         Returns the new epoch.
@@ -170,7 +171,7 @@ class SolverArtifacts:
             self._dirty_engines = False
         if self._dirty_geometry:
             self._envelope = None
-            self._mhr_candidates = None
+            self._ladder = None
             self._dirty_geometry = False
 
     def restore_epoch(self, epoch: int) -> int:
@@ -221,17 +222,16 @@ class SolverArtifacts:
         self.flush_invalidations()
         self._engines[(int(m), key)] = engine
 
-    def prime_geometry(self, envelope: Envelope, mhr_candidates: np.ndarray) -> None:
-        """Install externally maintained 2-D geometry (live serving).
+    def prime_geometry(self, envelope: Envelope) -> None:
+        """Install an externally restored envelope (snapshot restore).
 
-        The live index maintains the envelope and the candidate-MHR
-        values incrementally across epochs; priming them here clears the
-        geometry dirty flag so the next solve uses them instead of
-        recomputing from scratch.  The candidate array may contain
-        duplicates — IntCov's binary search is insensitive to them.
+        Clears the geometry dirty flag so the next solve uses it instead
+        of recomputing; the tau ladder is rebuilt from it on first use.
+        The envelope must be the one :func:`upper_envelope` computes for
+        this dataset's points, bit for bit.
         """
         self._envelope = envelope
-        self._mhr_candidates = mhr_candidates
+        self._ladder = None
         self._dirty_geometry = False
 
     def dirty_components(self) -> tuple[str, ...]:
@@ -285,7 +285,7 @@ class SolverArtifacts:
         return engine
 
     # ------------------------------------------------------------------ #
-    # IntCov artifacts: envelope and candidate-MHR values (2-D only)
+    # IntCov artifacts: envelope and tau ladder (2-D only)
     # ------------------------------------------------------------------ #
 
     def envelope(self) -> Envelope:
@@ -297,14 +297,12 @@ class SolverArtifacts:
             self._envelope = upper_envelope(self._dataset.points)
         return self._envelope
 
-    def mhr_candidates(self) -> np.ndarray:
-        """IntCov's candidate optimal-MHR values ``H`` (2-D only)."""
-        self.flush_invalidations()
-        if self._mhr_candidates is None:
-            self._mhr_candidates = candidate_mhr_values(
-                self._dataset.points, self.envelope()
-            )
-        return self._mhr_candidates
+    def tau_ladder(self) -> TauLadder:
+        """IntCov's ladder over the candidate-MHR values (2-D only)."""
+        envelope = self.envelope()
+        if self._ladder is None:
+            self._ladder = TauLadder(self._dataset.points, envelope)
+        return self._ladder
 
     # ------------------------------------------------------------------ #
     # snapshot export: point-in-time views of the cache contents
@@ -323,14 +321,14 @@ class SolverArtifacts:
         self.flush_invalidations()
         return dict(self._engines)
 
-    def cached_geometry(self) -> tuple[Envelope | None, np.ndarray | None]:
-        """The cached 2-D envelope and candidate-MHR values (or Nones).
+    def cached_envelope(self) -> Envelope | None:
+        """The cached 2-D envelope, or None.
 
-        Unlike :meth:`envelope` / :meth:`mhr_candidates` this never
-        *builds* anything — a snapshot captures what is resident.
+        Unlike :meth:`envelope` this never *builds* anything — a snapshot
+        captures what is resident.
         """
         self.flush_invalidations()
-        return self._envelope, self._mhr_candidates
+        return self._envelope
 
     # ------------------------------------------------------------------ #
 
@@ -344,7 +342,7 @@ class SolverArtifacts:
         self._nets.clear()
         self._engines.clear()
         self._envelope = None
-        self._mhr_candidates = None
+        self._ladder = None
         self._dirty_engines = False
         self._dirty_geometry = False
 
@@ -353,8 +351,8 @@ class SolverArtifacts:
 
         Sums every numpy array reachable from the caches — nets, engine
         score matrices (the dominant term: one ``(m, n)`` matrix per
-        distinct ``(m, seed)``), the 2-D envelope, and the candidate-MHR
-        values.  Used by the service registry's byte-budgeted eviction;
+        distinct ``(m, seed)``), the 2-D envelope, and the tau ladder with
+        its listed brackets.  Used by the service registry's byte-budgeted eviction;
         safe to call while another thread fills the caches (snapshots,
         partial counts on a race — an estimate, never corruption).
         """
@@ -372,9 +370,9 @@ class SolverArtifacts:
             for value in list(vars(envelope).values()):
                 if isinstance(value, np.ndarray):
                     total += value.nbytes
-        candidates = self._mhr_candidates
-        if candidates is not None:
-            total += candidates.nbytes
+        ladder = self._ladder
+        if ladder is not None:
+            total += ladder.nbytes
         return int(total)
 
     def cache_info(self) -> dict:
@@ -383,7 +381,7 @@ class SolverArtifacts:
         info["nets_cached"] = len(self._nets)
         info["engines_cached"] = len(self._engines)
         info["envelope_cached"] = self._envelope is not None
-        info["mhr_candidates_cached"] = self._mhr_candidates is not None
+        info["ladder_cached"] = self._ladder is not None
         info["cache_bytes"] = self.cache_bytes()
         info["epoch"] = self._epoch
         info["dirty_components"] = self.dirty_components()

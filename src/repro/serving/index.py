@@ -8,7 +8,7 @@ work once at build time and shares the rest through a
 :class:`~repro.serving.artifacts.SolverArtifacts` cache:
 
 * **build time** — normalization and per-group skyline extraction;
-* **first use** — the 2-D envelope + candidate-MHR values (IntCov), and
+* **first use** — the 2-D envelope + tau ladder (IntCov), and
   one delta-net + truncated-MHR engine per distinct ``(m, seed)``
   (BiGreedy / BiGreedy+);
 * **every repeat** — fully solved queries are memoized, so identical

@@ -47,9 +47,7 @@ import numpy as np
 from ..data.dataset import Dataset
 from ..extensions.dynamic import DynamicFairHMS
 from ..extensions.streaming import StreamingFairHMS
-from ..geometry.envelope import upper_envelope
 from .artifacts import SolverArtifacts
-from .candidates import LiveCandidateCache
 from .index import FairHMSIndex
 
 __all__ = ["LiveFairHMSIndex"]
@@ -120,9 +118,6 @@ class LiveFairHMSIndex(FairHMSIndex):
             "net_size": stream_net_size,
         }
         self._streamed: set[int] = set()
-        # 2-D only: incremental IntCov candidate maintenance (the O(n^2)
-        # enumeration otherwise dominates every skyline-changing epoch).
-        self._candidates = LiveCandidateCache() if int(dim) == 2 else None
         if dataset is not None:
             self._dyn.bulk_insert(
                 dataset.ids, dataset.points / self._scale, dataset.labels
@@ -311,13 +306,6 @@ class LiveFairHMSIndex(FairHMSIndex):
                 self._artifacts.bump_epoch(skyline_changed=True)
             else:
                 self._artifacts.rebind(sky)
-            if self._candidates is not None:
-                envelope = upper_envelope(sky.points)
-                groups = [self._dyn.group_of(int(key)) for key in sky.ids]
-                values = self._candidates.sync(
-                    sky.points, sky.ids, groups, envelope
-                )
-                self._artifacts.prime_geometry(envelope, values)
             self._skyline_keys = new_keys
         else:
             # Same solver input, but the population counts (which

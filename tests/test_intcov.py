@@ -5,10 +5,24 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.intcov import candidate_mhr_values, intcov
-from repro.data.synthetic import anticorrelated_dataset
+from repro.core.intcov import (
+    _intervals_by_group,
+    _pad_to_k,
+    candidate_mhr_values,
+    intcov,
+)
+from repro.core.intervalcover import fair_interval_cover
+from repro.data.dataset import Dataset
+from repro.data.synthetic import (
+    anticorrelated,
+    anticorrelated_dataset,
+    correlated,
+    independent,
+)
 from repro.fairness.constraints import FairnessConstraint
+from repro.geometry.envelope import upper_envelope
 from repro.hms.exact import mhr_exact_2d
+from repro.serving import SolverArtifacts
 
 
 def brute_force_fairhms(dataset, constraint):
@@ -148,3 +162,97 @@ class TestIntCovSolutionShape:
         on_full = intcov(ds, c).mhr_estimate
         on_sky = intcov(ds.skyline(per_group=True), c).mhr_estimate
         assert on_sky == pytest.approx(on_full, abs=1e-9)
+
+
+def search_over_h(dataset, constraint):
+    """Paper Algorithm 1 as written: binary search over the full ``H``.
+
+    Returns ``(tau, indices)`` for the largest feasible candidate.
+    """
+    points = dataset.points
+    envelope = upper_envelope(points)
+    H = candidate_mhr_values(points, envelope)
+    masks = [dataset.labels == g for g in range(dataset.num_groups)]
+    lo, hi = 0, H.size - 1
+    best_tau, best_set = 0.0, []
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        buckets = _intervals_by_group(points, envelope, float(H[mid]), masks)
+        cover = fair_interval_cover(buckets, constraint)
+        if cover is None:
+            hi = mid - 1
+        else:
+            best_tau, best_set = float(H[mid]), cover
+            lo = mid + 1
+    full = _pad_to_k(best_set, dataset, constraint)
+    return best_tau, np.array(sorted(full), dtype=np.int64)
+
+
+def family_points(family, n, seed):
+    """Seeded 2-D inputs, including the numerically awkward shapes."""
+    rng = np.random.default_rng(seed)
+    if family == "anticor":
+        return anticorrelated(n, 2, seed=seed)
+    if family == "independent":
+        return independent(n, 2, seed=seed)
+    if family == "correlated":
+        return correlated(n, 2, seed=seed)
+    if family == "rounded":  # many exact ties in score and slope
+        return np.round(anticorrelated(n, 2, seed=seed), 2)
+    if family == "duplicates":
+        base = anticorrelated(max(2, (n + 1) // 2), 2, seed=seed)
+        return np.concatenate([base, base])[:n]
+    if family == "parallel":  # scaled copies: exactly parallel score lines
+        base = independent(max(2, (n + 1) // 2), 2, seed=seed)
+        return np.concatenate([base, base * 0.5])[:n]
+    if family == "grid":
+        return rng.integers(1, 6, size=(n, 2)).astype(float) / 5
+    # "raw": unnormalized coordinates far from the unit square
+    return anticorrelated(n, 2, seed=seed) * 1000.0 + 3.0
+
+
+FAMILIES = (
+    "anticor", "independent", "correlated", "rounded",
+    "duplicates", "parallel", "grid", "raw",
+)
+
+
+class TestLadderSearchMatchesFullH:
+    """The ladder-and-bracket search returns the tau and solution that
+    binary search over all of ``H`` returns, bit for bit, with any hint."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n,seed", [(3, 1), (7, 2), (40, 3), (150, 4), (600, 5)])
+    def test_bit_identical_for_every_k_and_hint(self, family, n, seed):
+        rng = np.random.default_rng([seed, len(family)])
+        groups = min(int(rng.integers(1, 4)), n)
+        labels = rng.integers(0, groups, size=n)
+        labels[:groups] = np.arange(groups)
+        data = Dataset(points=family_points(family, n, seed), labels=labels)
+        if seed % 2:
+            data = data.skyline()
+        artifacts = SolverArtifacts(data)
+        optima = {}
+        for k in range(1, 9):
+            if k > data.n:
+                break
+            constraint = FairnessConstraint.proportional(
+                k, data.group_sizes, alpha=0.2, clamp=True
+            ).capped_by_availability(data.group_sizes)
+            if not constraint.is_feasible_for(data.group_sizes):
+                continue
+            tau, indices = search_over_h(data, constraint)
+            optima[k] = tau
+            neighbour = optima.get(k - 1, tau)
+            hints = (
+                None, tau, neighbour, tau + 1e-9, tau - 1e-9,
+                0.0, 1.0, 1.5, float("nan"),
+            )
+            for hint in hints:
+                # Unhinted solves build the geometry inline; hinted ones
+                # share one cached ladder and its listed brackets.
+                shared = None if hint is None else artifacts
+                got = intcov(data, constraint, artifacts=shared, tau_hint=hint)
+                assert got.stats["tau"] == tau, (k, hint)
+                np.testing.assert_array_equal(got.indices, indices)
+            assert got.mhr_estimate == mhr_exact_2d(got.points, data.points)

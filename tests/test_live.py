@@ -1,4 +1,4 @@
-"""Live serving: LiveFairHMSIndex, epochs, candidate cache, invariants.
+"""Live serving: LiveFairHMSIndex, epochs, invariants.
 
 Property-based/randomized invariants (seeded, derandomized):
 
@@ -7,9 +7,7 @@ Property-based/randomized invariants (seeded, derandomized):
 * warm query results are bit-identical to a cold ``solve_fairhms`` on
   the current dataset (and to a freshly built static index);
 * ``mhr_tau`` marginal gains are monotone non-increasing along greedy
-  prefixes (submodularity of the truncated objective);
-* the incrementally maintained candidate multiset always deduplicates to
-  the batch ``candidate_mhr_values`` enumeration.
+  prefixes (submodularity of the truncated objective).
 """
 
 import numpy as np
@@ -17,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.intcov import candidate_mhr_values, intcov
+from repro.core.intcov import intcov
 from repro.core.solve import solve_fairhms
 from repro.data.synthetic import anticorrelated_dataset
 from repro.fairness.constraints import FairnessConstraint
@@ -188,41 +186,48 @@ class TestSubmodularityAlongGreedy:
             previous = current
 
 
-class TestCandidateCache:
-    """Incremental candidate multiset == batch enumeration, bit for bit."""
+def reachable_arrays(root):
+    """Every numpy array reachable from ``root`` through repro objects."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro") and hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
 
-    def test_matches_batch_under_random_updates(self):
-        rng = np.random.default_rng(10)
-        data = anticorrelated_dataset(80, 2, 2, seed=11).normalized()
+
+class TestGeometryFootprint:
+    def test_live_2d_index_holds_no_pair_matrix(self):
+        data = anticorrelated_dataset(400, 2, 2, seed=14).normalized()
         live = LiveFairHMSIndex(data)
         alive = {
             int(k): (p, int(g))
             for k, p, g in zip(data.ids, data.points, data.labels)
         }
+        rng = np.random.default_rng(15)
         next_key = 10_000
-        for _ in range(8):
+        for _ in range(4):
             next_key = random_updates(
-                live, rng, 15, dim=2, num_groups=2, next_key=next_key,
+                live, rng, 20, dim=2, num_groups=2, next_key=next_key,
                 alive=alive,
             )
-            live.query(3)  # forces the sync
-            cached = live.artifacts.mhr_candidates()
-            batch = candidate_mhr_values(live.skyline.points)
-            np.testing.assert_array_equal(np.unique(cached), batch)
-        cache = live._candidates
-        assert cache.rebuilds == 1  # only the initial build is O(n^2)
-        assert cache.incremental_inserts > 0
-        assert cache.incremental_deletes > 0
-
-    def test_cache_values_stay_sorted(self):
-        data = anticorrelated_dataset(60, 2, 2, seed=12).normalized()
-        live = LiveFairHMSIndex(data)
-        rng = np.random.default_rng(13)
-        for i in range(30):
-            live.insert(10_000 + i, rng.random(2), int(rng.integers(0, 2)))
             live.query(3)
-            values = live._candidates._values
-            assert (np.diff(values) >= 0).all()
+            live.query(5)
+        assert live.cache_info()["ladder_cached"]
+        arrays = reachable_arrays(live)
+        assert arrays
+        # Points and envelope pieces are (rows, 2); nothing is n x n.
+        assert all(a.ndim < 2 or min(a.shape) <= 2 for a in arrays)
+        assert max(a.size for a in arrays) < 16 * len(live)
 
 
 class TestTauHint:
@@ -358,9 +363,6 @@ class TestKeyReuse:
             live.delete(key)
             live.insert(key, anticor_point(), key % 2)  # reuse, new point
             warm = live.query(3)
-            cached = live.artifacts.mhr_candidates()
-            batch = candidate_mhr_values(live.skyline.points)
-            np.testing.assert_array_equal(np.unique(cached), batch)
             cold = FairHMSIndex(live.dataset, normalize=False).query(3)
             np.testing.assert_array_equal(warm.ids, cold.ids)
             assert warm.mhr_estimate == cold.mhr_estimate

@@ -8,8 +8,10 @@ from repro.core.adaptive import bigreedy_plus
 from repro.core.bigreedy import bigreedy, default_net_size
 from repro.core.intcov import candidate_mhr_values, intcov
 from repro.core.solve import resolve_algorithm, solve_fairhms
+from repro.data.synthetic import anticorrelated_dataset
 from repro.fairness.constraints import FairnessConstraint
 from repro.hms.evaluation import MhrEvaluator
+from repro.service import DatasetRegistry
 from repro.serving import FairHMSIndex, Query, SolverArtifacts
 
 
@@ -83,13 +85,43 @@ class TestSolverArtifacts:
         with pytest.raises(ValueError, match="2-D"):
             SolverArtifacts(small3d.skyline()).envelope()
 
-    def test_mhr_candidates_match_direct(self, small2d):
+    def test_tau_ladder_lists_exactly_h(self, small2d):
         sky = small2d.skyline()
         art = SolverArtifacts(sky)
-        np.testing.assert_array_equal(
-            art.mhr_candidates(), candidate_mhr_values(sky.points)
-        )
-        assert art.mhr_candidates() is art.mhr_candidates()
+        ladder = art.tau_ladder()
+        assert art.tau_ladder() is ladder
+        H = candidate_mhr_values(sky.points)
+        rungs = ladder.rungs
+        assert np.isin(rungs, H).all()
+        assert rungs.size < H.size // 10
+        # Every bracket, open ends included, lists exactly H between rungs.
+        for rank in (-1, 0, rungs.size // 2, rungs.size - 2, rungs.size - 1):
+            lo = rungs[rank] if rank >= 0 else -np.inf
+            hi = rungs[rank + 1] if rank + 1 < rungs.size else np.inf
+            np.testing.assert_array_equal(
+                ladder.bracket(rank), H[(H > lo) & (H < hi)]
+            )
+        assert ladder.bracket(0) is ladder.bracket(0)  # listed once
+
+
+class TestGeometryFootprint:
+    """A 2-D tenant keeps O(n) IntCov state, never the O(n^2) set H."""
+
+    def test_answered_2d_index_caches_under_a_mebibyte(self):
+        index = FairHMSIndex(anticorrelated_dataset(2000, 2, 3, seed=101))
+        for k in (4, 6, 8):
+            index.query(k)
+        info = index.cache_info()
+        assert info["envelope_cached"] and info["ladder_cached"]
+        assert info["cache_bytes"] < 1 << 20
+
+    def test_byte_budget_keeps_answered_2d_tenants_resident(self):
+        reg = DatasetRegistry(max_bytes=2 << 20)
+        for name, seed in (("a", 101), ("b", 102)):
+            reg.register(name, anticorrelated_dataset(2000, 2, 3, seed=seed))
+            for k in (4, 6, 8):
+                reg.get(name).query(k)
+        assert reg.peek("a") is not None and reg.peek("b") is not None
 
 
 class TestArtifactEpochs:
@@ -134,10 +166,10 @@ class TestArtifactEpochs:
         sky = small2d.skyline()
         art = SolverArtifacts(sky)
         envelope = art.envelope()
-        candidates = art.mhr_candidates()
+        ladder = art.tau_ladder()
         art.bump_epoch(skyline_changed=True)
         assert art.envelope() is not envelope
-        assert art.mhr_candidates() is not candidates
+        assert art.tau_ladder() is not ladder
 
     def test_rebind_swaps_dataset_and_stages(self, small3d):
         sky = small3d.skyline()
@@ -158,12 +190,10 @@ class TestArtifactEpochs:
         sky = small2d.skyline()
         art = SolverArtifacts(sky)
         envelope = art.envelope()
-        candidates = art.mhr_candidates()
         art.bump_epoch(skyline_changed=True)
-        art.prime_geometry(envelope, candidates)
+        art.prime_geometry(envelope)
         assert "geometry" not in art.dirty_components()
         assert art.envelope() is envelope
-        assert art.mhr_candidates() is candidates
 
     def test_clear_resets_staged_invalidation(self, small3d):
         art = SolverArtifacts(small3d.skyline())

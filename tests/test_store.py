@@ -85,14 +85,54 @@ class TestFrozenRoundTrip:
     def test_reload_restores_2d_geometry(self, store):
         index, _ = frozen_index(n=250, d=2, seed=32)
         sweep(index)
-        assert index.cache_info()["mhr_candidates_cached"]
+        assert index.cache_info()["envelope_cached"]
         store.save_index("a", index)
         reloaded = store.load_index("a")
-        info = reloaded.cache_info()
-        assert info["mhr_candidates_cached"] and info["envelope_cached"]
-        np.testing.assert_array_equal(
-            reloaded.artifacts.mhr_candidates(), index.artifacts.mhr_candidates()
+        assert reloaded.cache_info()["envelope_cached"]
+        saved, restored = index.artifacts.envelope(), reloaded.artifacts.envelope()
+        np.testing.assert_array_equal(restored.breaks, saved.breaks)
+        np.testing.assert_array_equal(restored.lines, saved.lines)
+        manifest = store.manifest("a")
+        assert manifest["format_version"] == 1
+        assert manifest["artifacts"]["geometry"] is True
+        with np.load(store.path_for("a") / manifest["arrays_file"]) as payload:
+            stored = set(payload.files)
+        assert {k for k in stored if not k.startswith(("dataset.", "skyline.", "memo."))} == {
+            "envelope.breaks", "envelope.lines", "envelope.point_index"
+        }
+
+    def test_parent_format_snapshot_still_serves(self, store):
+        # Earlier snapshots also stored IntCov's full candidate array
+        # under "mhr_candidates"; they must load and answer unchanged.
+        from repro.core.intcov import candidate_mhr_values
+        from repro.service.store import _hash_arrays
+
+        index, data = frozen_index(n=250, d=2, seed=37)
+        before = sweep(index)
+        path = store.save_index("a", index)
+        manifest = store.manifest("a")
+        with np.load(path / manifest["arrays_file"]) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        arrays["mhr_candidates"] = candidate_mhr_values(
+            index.skyline.points, index.artifacts.envelope()
         )
+        checksum = _hash_arrays(arrays)
+        (path / manifest["arrays_file"]).unlink()
+        manifest["arrays_file"] = f"arrays-{checksum[:12]}.npz"
+        manifest["checksum"] = checksum
+        manifest["artifacts"]["geometry"] = True
+        with open(path / manifest["arrays_file"], "wb") as fh:
+            np.savez(fh, **arrays)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        reloaded = store.load_index("a")
+        assert reloaded.cache_info()["envelope_cached"]
+        for b, a in zip(before, sweep(reloaded)):
+            assert_same_answers(b, a)
+        reloaded.clear_result_cache()  # re-solve over the restored envelope
+        cold = sweep(FairHMSIndex(data, default_seed=7))
+        for c, a in zip(cold, sweep(reloaded)):
+            assert_same_answers(c, a)
+            assert c.stats["tau"] == a.stats["tau"]
 
     def test_restored_solutions_carry_provenance(self, store):
         index, _ = frozen_index(seed=33)
