@@ -118,7 +118,8 @@ def candidate_mhr_values(points: np.ndarray, envelope: Envelope | None = None) -
     for start in range(0, n, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n)
         # Pairs (i, j) with i in [start, stop) and j > i.
-        rows, cols = np.nonzero(np.arange(n)[None, :] > np.arange(start, stop)[:, None])
+        upper = np.arange(n)[None, :] > np.arange(start, stop)[:, None]
+        rows, cols = np.nonzero(upper)
         chunks.append(_pair_values(y, slope, rows + start, cols, envelope))
     return np.unique(_admit(np.concatenate(chunks)))
 
@@ -231,11 +232,8 @@ class TauLadder:
         p, q = owner[f], owner[g]
         distinct = p != q
         p, q = p[distinct], q[distinct]
-        values = _admit(
-            _pair_values(
-                self._y, self._slope, np.minimum(p, q), np.maximum(p, q), self._envelope
-            )
-        )
+        rows, cols = np.minimum(p, q), np.maximum(p, q)
+        values = _admit(_pair_values(self._y, self._slope, rows, cols, self._envelope))
         # Axis values are all rungs, so only pairs can lie strictly inside.
         inside = np.ones(values.shape[0], dtype=bool)
         if tau_a is not None:
@@ -436,7 +434,8 @@ def intcov(
 
     Returns:
         The optimal fair solution with ``mhr_estimate`` set to its exact
-        minimum happiness ratio.
+        minimum happiness ratio.  ``stats["num_candidates"]`` counts the
+        members of ``H`` the search held (rungs plus listed values).
 
     Raises:
         ValueError: if the dataset is not 2-D or the constraint cannot be

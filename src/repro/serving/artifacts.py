@@ -5,9 +5,9 @@ constraint-independent) state: BiGreedy needs a delta-net and the
 ``(m, n)`` score-ratio matrix of a :class:`~repro.hms.truncated.
 TruncatedEngine`; IntCov needs the upper score-line envelope and its
 :class:`~repro.core.intcov.TauLadder` (sampled rungs of the candidate-MHR
-set plus the brackets listed between them).  :class:`SolverArtifacts` owns one
-dataset and lazily builds and caches each artifact on first use, so a
-query-serving layer (or any caller issuing many solves against one
+set plus the brackets listed between them).  :class:`SolverArtifacts`
+owns one dataset and lazily builds and caches each artifact on first use,
+so a query-serving layer (or any caller issuing many solves against one
 dataset) pays for each at most once.
 
 Cache keys and determinism:
