@@ -154,9 +154,10 @@ class TauLadder:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the rungs and the cached brackets."""
+        """Resident bytes of the rungs, the slopes and the cached brackets."""
         return int(
             self.rungs.nbytes
+            + self._slope.nbytes
             + sum(values.nbytes for values in list(self._brackets.values()))
         )
 

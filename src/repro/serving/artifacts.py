@@ -352,9 +352,10 @@ class SolverArtifacts:
         Sums every numpy array reachable from the caches — nets, engine
         score matrices (the dominant term: one ``(m, n)`` matrix per
         distinct ``(m, seed)``), the 2-D envelope, and the tau ladder with
-        its listed brackets.  Used by the service registry's byte-budgeted eviction;
-        safe to call while another thread fills the caches (snapshots,
-        partial counts on a race — an estimate, never corruption).
+        its listed brackets.  Used by the service registry's byte-budgeted
+        eviction; safe to call while another thread fills the caches
+        (snapshots, partial counts on a race — an estimate, never
+        corruption).
         """
         total = 0
         try:
@@ -372,7 +373,10 @@ class SolverArtifacts:
                     total += value.nbytes
         ladder = self._ladder
         if ladder is not None:
-            total += ladder.nbytes
+            try:
+                total += ladder.nbytes
+            except RuntimeError:  # brackets listed mid-count
+                pass
         return int(total)
 
     def cache_info(self) -> dict:
