@@ -8,8 +8,9 @@ Pipeline (Algorithm 1):
    adapted to happiness ratios).  :func:`candidate_mhr_values` lists all
    ``O(n^2)`` of them; the search never does.
 2. Find the largest ``tau in H`` for which the decision problem — *is
-   there a fair size-k set with mhr >= tau?* — answers yes, holding at
-   most ``O(n)`` members of ``H`` at a time (:class:`TauLadder`):
+   there a fair size-k set with mhr >= tau?* — answers yes, holding
+   ``O(n)`` members of ``H`` in expectation — the ladder, and the part of
+   ``H`` between two of its random samples (:class:`TauLadder`):
 
    a. **ladder** — the ``2n`` axis values plus the values of ``~n``
       seeded random pairs, sorted and deduplicated;
@@ -19,8 +20,8 @@ Pipeline (Algorithm 1):
       bracket iff its tie direction lies in both points' lost flanks
       ``I_tau_a(p) \\ I_tau_b(p)``, so sorting the ``<= 2n`` flanks and
       joining the overlapping ones yields every such pair in
-      ``O(n log n + pairs)``; each is priced exactly and kept when its
-      value falls strictly inside;
+      ``O(n log n + joined pairs)``; each is priced exactly and kept when
+      its value falls strictly inside;
    d. binary-search the listed values.
 
    This is the sample-then-list idea of randomized slope selection
