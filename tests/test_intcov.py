@@ -256,3 +256,18 @@ class TestLadderSearchMatchesFullH:
                 assert got.stats["tau"] == tau, (k, hint)
                 np.testing.assert_array_equal(got.indices, indices)
             assert got.mhr_estimate == mhr_exact_2d(got.points, data.points)
+
+    def test_bit_identical_on_a_serving_sized_skyline(self):
+        # ~2,000 skyline points: H holds ~1.9M values, the ladder ~6k.
+        data = anticorrelated_dataset(2000, 2, 3, seed=101).normalized()
+        sky = data.skyline()
+        artifacts = SolverArtifacts(sky)
+        for k in (4, 6, 8):
+            constraint = FairnessConstraint.proportional(
+                k, sky.population_group_sizes, alpha=0.1
+            ).capped_by_availability(sky.group_sizes)
+            tau, indices = search_over_h(sky, constraint)
+            for hint in (None, tau):
+                got = intcov(sky, constraint, artifacts=artifacts, tau_hint=hint)
+                assert got.stats["tau"] == tau
+                np.testing.assert_array_equal(got.indices, indices)
