@@ -64,6 +64,7 @@ _LADDER_SEED = 2208_06553  # fixed: moves decision counts, never answers
 _FLANK_MARGIN = 1e-9
 _FLANK_PAD = 1e-9
 _BRACKETS_KEPT = 64  # listed brackets cached per ladder (LRU)
+_JOIN_BLOCK = 1 << 18  # flank pairs priced per slice of the join
 
 
 def _axis_values(x: np.ndarray, y: np.ndarray, envelope: Envelope) -> np.ndarray:
@@ -182,6 +183,8 @@ class TauLadder:
         n = self._points.shape[0]
         tau_a = float(self.rungs[rank]) if rank >= 0 else None
         tau_b = float(self.rungs[rank + 1]) if rank + 1 < self.rungs.size else None
+        if tau_a is not None and tau_a >= 1.0:
+            return np.empty(0)  # admitted values never exceed 1
         # Outer intervals: where a point's ratio reaches tau_a (less the
         # margin); inner: where it reaches tau_b (plus the margin).  The
         # flank a point loses between them holds every tie direction at
@@ -219,30 +222,43 @@ class TauLadder:
         order = np.argsort(flank_lo, kind="stable")
         flank_lo, flank_hi, owner = flank_lo[order], flank_hi[order], owner[order]
         # Overlap join: flank f meets every later flank that starts
-        # before f ends.
+        # before f ends.  Joined in slices of at most _JOIN_BLOCK pairs, so
+        # memory stays bounded where many flanks coincide (duplicates).
         first_after = np.arange(1, flank_lo.size + 1)
         counts = np.maximum(
             np.searchsorted(flank_lo, flank_hi, side="right") - first_after, 0
         )
-        total = int(counts.sum())
-        f = np.repeat(np.arange(flank_lo.size), counts)
-        g = (
-            np.arange(total)
-            - np.repeat(np.cumsum(counts) - counts, counts)
-            + np.repeat(first_after, counts)
-        )
-        p, q = owner[f], owner[g]
-        distinct = p != q
-        p, q = p[distinct], q[distinct]
-        rows, cols = np.minimum(p, q), np.maximum(p, q)
-        values = _admit(_pair_values(self._y, self._slope, rows, cols, self._envelope))
-        # Axis values are all rungs, so only pairs can lie strictly inside.
-        inside = np.ones(values.shape[0], dtype=bool)
-        if tau_a is not None:
-            inside &= values > tau_a
-        if tau_b is not None:
-            inside &= values < tau_b
-        return np.unique(values[inside])
+        joined_before = np.cumsum(counts) - counts
+        inside = [np.empty(0)]
+        start = 0
+        while start < flank_lo.size:
+            stop = max(
+                start + 1,
+                int(np.searchsorted(joined_before, joined_before[start] + _JOIN_BLOCK)),
+            )
+            c = counts[start:stop]
+            f = np.repeat(np.arange(start, stop), c)
+            g = (
+                np.arange(f.size)
+                - np.repeat(joined_before[start:stop] - joined_before[start], c)
+                + np.repeat(first_after[start:stop], c)
+            )
+            p, q = owner[f], owner[g]
+            distinct = p != q
+            p, q = p[distinct], q[distinct]
+            rows, cols = np.minimum(p, q), np.maximum(p, q)
+            values = _admit(
+                _pair_values(self._y, self._slope, rows, cols, self._envelope)
+            )
+            # Axis values are all rungs, so only pairs lie strictly inside.
+            keep = np.ones(values.shape[0], dtype=bool)
+            if tau_a is not None:
+                keep &= values > tau_a
+            if tau_b is not None:
+                keep &= values < tau_b
+            inside.append(values[keep])
+            start = stop
+        return np.unique(np.concatenate(inside))
 
 
 class _Search:
