@@ -8,7 +8,11 @@ everything in ``setup.py`` lets both plain ``pip install -e ".[test]"``
 
 Runtime dependencies are numpy + scipy only; the test extra carries the
 tier-1 suite's needs and the lint extra the CI linter, so CI installs
-from this metadata instead of a hand-maintained pip line.
+from this metadata instead of a hand-maintained pip line.  SciPy backs
+exact MHR evaluation alone (the LPs and convex hulls of
+``repro.geometry.lp``/``hull``, used at d >= 3 by ``repro.hms.exact``,
+``MhrEvaluator``, the LP baselines and the experiments) and is imported
+on first use, so the serving stack never loads it.  It stays required.
 """
 
 import re

@@ -128,6 +128,8 @@ class ClusterRouter:
         self._health_task: asyncio.Task | None = None
         self._stopped: asyncio.Event | None = None
         self._draining = False
+        # writer -> handler task, for connections waiting between requests
+        self._idle: dict = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -147,13 +149,26 @@ class ClusterRouter:
         return self
 
     async def drain(self) -> None:
-        """Stop accepting, cancel probes, close worker pools."""
+        """Stop accepting, close idle clients, cancel probes, close pools.
+
+        Idle keep-alive connections are closed and their handlers run to
+        completion here (they see EOF and return), rather than being
+        cancelled mid-read when the event loop shuts down.  A connection
+        with a request in flight answers it and then closes.
+        """
         if self._draining:
             await self._stopped.wait()
             return
         self._draining = True
         if self._server is not None:
             self._server.close()
+        idle = list(self._idle.items())
+        for writer, _task in idle:
+            with contextlib.suppress(Exception):
+                writer.close()
+        if idle:
+            await asyncio.wait([task for _writer, task in idle])
+        if self._server is not None:
             await self._server.wait_closed()
         if self._health_task is not None:
             self._health_task.cancel()
@@ -402,6 +417,9 @@ class ClusterRouter:
                 trace_id=request.headers.get("x-repro-trace"),
                 dataset=dataset,
             )
+            # Forward the span's id (minted when the client sent none) so
+            # the worker's trace stitches to this one.
+            request.headers["x-repro-trace"] = span.trace_id
         attempts = list(candidates)
         if write and len(attempts) == 1:
             # The owner gets a second chance: a supervisor restart swaps
@@ -456,8 +474,10 @@ class ClusterRouter:
     # ------------------------------------------------------------------ #
 
     async def _serve_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
         try:
-            while True:
+            while not self._draining:
+                self._idle[writer] = task
                 try:
                     request = await read_request(
                         reader, max_body=self.max_body_bytes
@@ -467,6 +487,8 @@ class ClusterRouter:
                         writer, exc.status, {"error": str(exc)}, close=True
                     )
                     return
+                finally:
+                    self._idle.pop(writer, None)
                 if request is None:
                     return
                 close = not request.keep_alive or self._draining

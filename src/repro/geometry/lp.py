@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .._validation import as_points
 from .hull import maxima_candidates
@@ -59,6 +58,10 @@ def solve_regret_lp(q: np.ndarray, S: np.ndarray) -> tuple[float, np.ndarray | N
     ``x*`` is the largest regret any direction normalized to ``<u, q> = 1``
     can inflict on ``S``; ``u*`` is that direction (unnormalized).
     """
+    # SciPy loads here, on the first exact LP, so code that never scores a
+    # solution exactly (the serving stack) never pays for it.
+    from scipy.optimize import linprog
+
     d = q.shape[0]
     c = np.zeros(d + 1)
     c[-1] = -1.0  # maximize x

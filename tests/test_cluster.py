@@ -16,6 +16,7 @@ The load-bearing invariants:
 """
 
 import json
+import logging
 import socket
 
 import numpy as np
@@ -484,6 +485,45 @@ class TestRouter:
                 assert [d["name"] for d in client.datasets()] == ["a"]
                 client.close()
         finally:
+            for t in threads.values():
+                t.drain()
+
+    def test_minted_trace_id_reaches_the_worker(self):
+        """With no ``x-repro-trace`` from the client, the id the router
+        mints for its proxy span is the one the worker traces under."""
+        data = tenant(seed=52, name="a")
+        threads, addresses = worker_fleet({"w0": [("a", data, False)]})
+        try:
+            with RouterThread(addresses, datasets={"a": False},
+                              replicas=1) as (host, port):
+                client = FairHMSClient(host, port)
+                resp = client.request("POST", "/v1/query",
+                                      {"dataset": "a", "k": 3})
+                request_id = resp.meta["request_id"]
+                router = client.traces()["recent"]
+                worker = client.request(
+                    "GET", "/v1/traces?worker=w0"
+                ).data["recent"]
+                assert [t["trace_id"] for t in router] == [request_id]
+                assert [t["trace_id"] for t in worker] == [request_id]
+                client.close()
+        finally:
+            for t in threads.values():
+                t.drain()
+
+    def test_drain_with_idle_client_logs_nothing(self, caplog):
+        data = tenant(seed=53, name="a")
+        threads, addresses = worker_fleet({"w0": [("a", data, False)]})
+        router = RouterThread(addresses, datasets={"a": False}, replicas=1)
+        try:
+            client = FairHMSClient(*router.start())
+            client.query("a", 3)  # its keep-alive connection now idles
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                router.drain()
+            assert [r for r in caplog.records if r.name == "asyncio"] == []
+            client.close()
+        finally:
+            router.drain()
             for t in threads.values():
                 t.drain()
 

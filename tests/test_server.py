@@ -13,12 +13,17 @@ The load-bearing invariants:
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.data.synthetic import anticorrelated_dataset
 from repro.serving import FairHMSIndex, LiveFairHMSIndex
@@ -670,6 +675,91 @@ class TestGracefulDrain:
         sol = oracle.query(3)
         assert payload["ids"] == [int(v) for v in sol.ids]
         assert registry2.metrics.snapshot()["datasets"]["mut"]["spill_loads"] == 1
+
+
+# Run in a fresh interpreter: import the serving entry points, serve the
+# three kinds of request perfbench drives (2-D IntCov, 4-D BiGreedy+, a
+# WAL-logged live write), then score a 3-D answer exactly.
+_SERVING_FOOTPRINT_SCRIPT = """
+import json, sys
+
+import repro.cli
+import repro.cluster.supervisor
+import repro.server.app
+from repro.client import FairHMSClient
+from repro.data.synthetic import anticorrelated_dataset
+from repro.server import ServerThread, build_registry, parse_config
+from repro.serving import FairHMSIndex
+
+config = parse_config(json.loads(sys.argv[1]))
+with ServerThread(build_registry(config)) as (host, port):
+    with FairHMSClient(host, port) as client:
+        flat = client.query("flat", 4)
+        wide = client.query("wide", 6)
+        ack = client.insert("mut", 9_001, [0.9, 0.9], 1)
+        mut = client.query("mut", 3)
+loaded_while_serving = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+cube = FairHMSIndex(anticorrelated_dataset(200, 3, 2, seed=44), default_seed=7)
+mhr = cube.query(4).mhr()
+print(json.dumps({
+    "answers": {"flat": flat, "wide": wide, "mut": mut},
+    "version": ack["version"],
+    "loaded_while_serving": loaded_while_serving,
+    "loaded_for_mhr": "scipy" in sys.modules,
+    "mhr": mhr,
+}))
+"""
+
+
+class TestServingImportFootprint:
+    """SciPy backs only exact MHR evaluation (the LP and hull code), so
+    no serving process imports it; it loads on the first exact score."""
+
+    def test_serving_never_imports_scipy(self, tmp_path):
+        raw = {
+            "server": {"wal_dir": str(tmp_path / "wal")},
+            "datasets": [
+                {"name": "flat", "n": 300, "d": 2, "groups": 3, "seed": 40},
+                {"name": "wide", "n": 600, "d": 4, "groups": 2, "seed": 41},
+                {"name": "mut", "n": 200, "d": 2, "groups": 3, "seed": 42,
+                 "live": True},
+            ],
+        }
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _SERVING_FOOTPRINT_SCRIPT, json.dumps(raw)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["loaded_while_serving"] == []
+        assert out["loaded_for_mhr"] is True
+
+        # The served answers are the in-process ones, bit for bit.
+        specs = {spec.name: spec for spec in parse_config(raw).datasets}
+        live = LiveFairHMSIndex(specs["mut"].factory()(), default_seed=7)
+        live.insert(9_001, np.array([0.9, 0.9]), 1)
+        assert out["version"] == live.version
+        expected = {
+            "flat": FairHMSIndex(specs["flat"].factory()(), default_seed=7).query(4),
+            "wide": FairHMSIndex(specs["wide"].factory()(), default_seed=7).query(6),
+            "mut": live.query(3),
+        }
+        assert out["answers"]["flat"]["algorithm"] == "IntCov"
+        assert out["answers"]["wide"]["algorithm"] == "BiGreedy+"
+        for name, sol in expected.items():
+            assert out["answers"][name]["ids"] == [int(v) for v in sol.ids]
+            assert out["answers"][name]["mhr_estimate"] == sol.mhr_estimate
+            assert out["answers"][name]["algorithm"] == sol.algorithm
+
+        # SciPy on demand scores exactly what it scores in this process.
+        cube = FairHMSIndex(anticorrelated_dataset(200, 3, 2, seed=44), default_seed=7)
+        assert out["mhr"] == cube.query(4).mhr()
 
 
 class TestConfig:
