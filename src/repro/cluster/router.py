@@ -162,12 +162,12 @@ class ClusterRouter:
         self._draining = True
         if self._server is not None:
             self._server.close()
-        idle = list(self._idle.items())
-        for writer, _task in idle:
+        idle = dict(self._idle)
+        for writer in idle:
             with contextlib.suppress(Exception):
                 writer.close()
         if idle:
-            await asyncio.wait([task for _writer, task in idle])
+            await asyncio.wait(idle.values())
         if self._server is not None:
             await self._server.wait_closed()
         if self._health_task is not None:

@@ -745,6 +745,7 @@ class TestServingImportFootprint:
         live = LiveFairHMSIndex(specs["mut"].factory()(), default_seed=7)
         live.insert(9_001, np.array([0.9, 0.9]), 1)
         assert out["version"] == live.version
+        assert [p.name for p in (tmp_path / "wal").iterdir()], "WAL not written"
         expected = {
             "flat": FairHMSIndex(specs["flat"].factory()(), default_seed=7).query(4),
             "wide": FairHMSIndex(specs["wide"].factory()(), default_seed=7).query(6),
