@@ -69,10 +69,10 @@ import time
 
 import numpy as np
 
-# NumPy loads these two on first use: numpy.random at the first np.random
-# access and numpy.ma inside the first np.unique call, both of which every
-# dataset build makes.  Loading them here puts that cost in start-up,
-# before the server listens, instead of in its first requests.
+# NumPy 2 loads these two on first use: numpy.random at the first
+# np.random access and numpy.ma inside the first np.unique call, both of
+# which every dataset build makes.  Loading them here puts that cost in
+# start-up, before the server listens, instead of in its first requests.
 import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
