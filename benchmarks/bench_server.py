@@ -8,12 +8,10 @@ two ways:
   connections, each issuing its next request as soon as the previous
   answer lands.  This measures sustained throughput *and* tail latency;
   the acceptance floors are >= 50 req/s and p99 < 100 ms on the
-  AntiCor-2D 3-tenant workload.  The server runs with speculative
-  warm-up enabled (``warmup=True``) and the bench waits until every
-  tenant is primed before opening the loop — the p99 floor is about
-  *serving*, and the warm-up subsystem is exactly what keeps cold
-  builds and first-query geometry out of the tail (``--no-warmup``
-  restores the old cold-start behavior for comparison).
+  AntiCor-2D 3-tenant workload.  Before the loop opens, the bench
+  primes the server through the client with one query per (tenant, k)
+  of the stream — the p99 floor is about *serving*, so cold builds and
+  first-query geometry stay out of the tail.
 * **open loop** — requests arrive on a fixed wall-clock schedule
   regardless of completions, the arrival rate set above the measured
   closed-loop capacity.  This exercises admission control: excess
@@ -272,22 +270,17 @@ def fetch_traces(host, port, *, limit=20) -> dict:
         return client.traces(limit=limit)
 
 
-def wait_warm(host, port, names, *, timeout=120.0) -> float:
-    """Block until the server's warmer has primed every named dataset.
-
-    Returns the wait in seconds.  The warmer runs on its own cadence;
-    polling ``/v1/metrics`` (always admitted) observes its progress the
-    same way an operator would.
-    """
+def prime(host, port, requests) -> tuple[float, int]:
+    """Send the stream's first query per (tenant, k), keeping cold builds
+    and geometry out of the loops; returns ``(seconds, queries sent)``."""
+    first = {}
+    for r in requests:
+        first.setdefault((r.dataset, r.query.k), r)
     t0 = time.perf_counter()
-    deadline = t0 + timeout
-    want = sorted(names)
-    while time.perf_counter() < deadline:
-        warm = fetch_metrics(host, port)["server"].get("warmup", {})
-        if sorted(warm.get("primed", [])) == want:
-            return time.perf_counter() - t0
-        time.sleep(0.05)
-    raise AssertionError(f"warm-up did not prime {want} within {timeout}s")
+    with FairHMSClient(host, port, timeout=300) as client:
+        for r in first.values():
+            client.request("POST", "/v1/query", request_payload(r))
+    return time.perf_counter() - t0, len(first)
 
 
 def test_http_answers_bit_identical():
@@ -303,38 +296,6 @@ def test_http_answers_bit_identical():
     with ServerThread(registry) as (host, port):
         _, answers, _, _ = closed_loop(host, port, requests, clients=4)
     assert verify_http_answers(answers, oracle, require_all=True) == []
-
-
-def test_warmup_primes_cold_datasets_and_drains():
-    """The warm-up smoke: a server started with ``warmup=True`` primes
-    every registered-but-cold dataset in the background (counted in the
-    ``warmups`` metric), the first real query is answered from the warmed
-    caches, and draining the server stops the warmer cleanly."""
-    datasets = build_tenant_datasets(350)
-    registry = DatasetRegistry()
-    for name, data in datasets.items():
-        registry.register(name, data, default_seed=DEFAULT_SEED)
-    thread = ServerThread(registry, warmup=True)
-    with thread as (host, port):
-        wait_warm(host, port, datasets, timeout=60.0)
-        metrics = fetch_metrics(host, port)
-        assert metrics["service"]["totals"]["warmups"] == len(datasets)
-        # Every index is resident and speculatively solved: the first
-        # real query of a standard size is a result-cache hit.
-        index = registry.peek("tenant0")
-        assert index is not None
-        hits_before = index.cache_info()["result_hits"]
-        with FairHMSClient(host, port, timeout=60) as client:
-            status, data = _post_query(
-                client, {"dataset": "tenant0", "k": 4, "eps": 0.02,
-                         "algorithm": "auto", "alpha": 0.1}
-            )
-        assert status == 200 and data["size"] == 4
-        assert index.cache_info()["result_hits"] == hits_before + 1
-    # Drain-safety: the context exit drained while the warmer thread was
-    # live; stop() must have joined it.
-    assert thread.server.warmer is not None
-    assert thread.server.warmer.stats()["running"] is False
 
 
 def test_open_loop_sheds_match_server_counter():
@@ -359,7 +320,7 @@ def test_open_loop_sheds_match_server_counter():
 def test_prometheus_scrape_and_tracing_tail():
     """The CI observability perf gate (run via ``pytest -k prometheus``).
 
-    A warmed server under a tiny closed loop — with tracing **on** (the
+    A primed server under a tiny closed loop — with tracing **on** (the
     default) — must (a) serve a valid Prometheus exposition carrying the
     request counters and SLO gauges, (b) have recorded traces whose span
     trees contain the queue-wait and solve spans, and (c) keep the
@@ -371,8 +332,8 @@ def test_prometheus_scrape_and_tracing_tail():
     registry = DatasetRegistry()
     for name, data in datasets.items():
         registry.register(name, data, default_seed=DEFAULT_SEED)
-    with ServerThread(registry, warmup=True) as (host, port):
-        wait_warm(host, port, datasets, timeout=60.0)
+    with ServerThread(registry) as (host, port):
+        _, primes = prime(host, port, requests)
         _, answers, latencies, _ = closed_loop(host, port, requests, clients=4)
         text = fetch_exposition(host, port)
         traces = fetch_traces(host, port)
@@ -385,7 +346,7 @@ def test_prometheus_scrape_and_tracing_tail():
     assert "repro_requests_total" in families
     req_samples = families["repro_requests_total"]["samples"]
     assert {s[1]["dataset"] for s in req_samples} == set(datasets)
-    assert sum(s[2] for s in req_samples) == len(requests)
+    assert sum(s[2] for s in req_samples) == primes + len(requests)
     assert "repro_request_latency_seconds" in families
     assert families["repro_request_latency_seconds"]["type"] == "histogram"
     for gauge in ("repro_slo_attained", "repro_slo_latency_ok_ratio",
@@ -405,14 +366,13 @@ def test_prometheus_scrape_and_tracing_tail():
     assert "queue_wait" in span_names
     # Every query trace must explain where its answer came from: its own
     # solve span, a result-cache hit, or coalescing onto another trace's
-    # solve (followers carry ``coalesced_into``/``multi_shared_with``
-    # instead of a duplicate solve span).
+    # solve (followers carry ``coalesced_into`` instead of a duplicate
+    # solve span).
     explained = [
         t for t in query_traces
         if "solve" in {c["name"] for c in t["root"].get("children", [])}
         or t["root"]["tags"].get("result_cache_hit")
         or "coalesced_into" in t["root"]["tags"]
-        or "multi_shared_with" in t["root"]["tags"]
     ]
     assert len(explained) == len(query_traces)
 
@@ -445,11 +405,6 @@ def main(argv=None) -> int:
         help="open-loop arrival rate in req/s (default: 2x measured capacity)",
     )
     parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument(
-        "--no-warmup",
-        action="store_true",
-        help="serve cold (no speculative warm-up); shows the old p99 tail",
-    )
     parser.add_argument(
         "--scenario",
         default=None,
@@ -500,14 +455,9 @@ def main(argv=None) -> int:
         registry.get(name)  # pre-build; the floor measures serving
     build_s = time.perf_counter() - t0
 
-    warmup = not args.no_warmup
-    with ServerThread(
-        registry, max_inflight=args.max_inflight, warmup=warmup
-    ) as (host, port):
-        warmup_s = 0.0
-        if warmup:
-            warmup_s = wait_warm(host, port, datasets)
-            print(f"warmup:  {len(datasets)} tenant(s) primed in {warmup_s:.2f}s")
+    with ServerThread(registry, max_inflight=args.max_inflight) as (host, port):
+        prime_s, primes = prime(host, port, requests)
+        print(f"prime:   {primes} (tenant, k) queries in {prime_s:.2f}s")
         closed_s, closed_answers, latencies, closed_sheds = closed_loop(
             host, port, requests, clients=args.clients
         )
@@ -572,9 +522,7 @@ def main(argv=None) -> int:
     check_floors = not args.tiny
     throughput_ok = (not check_floors) or throughput >= THROUGHPUT_FLOOR
     p99 = float(np.percentile(lat, 99))
-    # The p99 bound is part of the warm serving contract; a deliberately
-    # cold run (--no-warmup) is a comparison mode, not a gated one.
-    p99_ok = (not check_floors) or (not warmup) or p99 <= LATENCY_P99_CEIL_S
+    p99_ok = (not check_floors) or p99 <= LATENCY_P99_CEIL_S
 
     workload_info = {
         "tenants": len(datasets),
@@ -595,14 +543,13 @@ def main(argv=None) -> int:
         "timings": {
             "oracle_s": oracle_s,
             "build_s": build_s,
-            "warmup_s": warmup_s,
+            "prime_s": prime_s,
             "closed_loop_s": closed_s,
             "open_loop_s": open_s,
         },
         "throughput_rps": throughput,
         "latency_p50_s": float(np.percentile(lat, 50)),
         "latency_p99_s": p99,
-        "warmups": totals.get("warmups", 0),
         "open_loop": {
             "arrival_rps": open_rate,
             "ok": open_counts["ok"],

@@ -10,6 +10,8 @@ final, finest net so estimates are consistent).
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
 from .._rng import ensure_rng, spawn_seeds
@@ -55,7 +57,10 @@ def bigreedy_plus(
 
     Returns:
         The best solution across doubling iterations, with stats recording
-        the per-iteration net sizes and cap values.
+        the per-iteration net sizes and cap values.  ``stats["phases"]``
+        sums every iteration's phases; fetching or building each
+        iteration's engine counts as ``engine`` and the final net
+        comparison as ``finalize``.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
@@ -78,7 +83,9 @@ def bigreedy_plus(
     solutions: list[Solution] = []
     taus: list[float] = []
     nets: list[np.ndarray] = []
+    phases = {"engine": 0.0, "search": 0.0, "finalize": 0.0}
     for i, m_i in enumerate(sizes):
+        t0 = perf_counter()
         if use_artifacts:
             engine = artifacts.engine(m_i, child_seeds[i])
         else:
@@ -86,6 +93,7 @@ def bigreedy_plus(
                 m_i, dataset.dim, np.random.default_rng(child_seeds[i])
             )
             engine = TruncatedEngine(dataset.points, net)
+        phases["engine"] += perf_counter() - t0
         sol = bigreedy(
             dataset,
             constraint,
@@ -95,6 +103,8 @@ def bigreedy_plus(
             extra_steps=extra_steps,
             algorithm_name="BiGreedy+",
         )
+        for phase, seconds in sol.stats["phases"].items():
+            phases[phase] = phases.get(phase, 0.0) + seconds
         solutions.append(sol)
         nets.append(engine.net)
         tau_i = sol.stats.get("tau_success") or 0.0
@@ -103,6 +113,7 @@ def bigreedy_plus(
             break
 
     # Compare candidates on the finest net used, for a consistent estimate.
+    t0 = perf_counter()
     final_net = nets[-1]
     D = dataset.points
 
@@ -123,4 +134,6 @@ def bigreedy_plus(
             "lambda": float(lam),
         }
     )
+    phases["finalize"] += perf_counter() - t0
+    best.stats["phases"] = phases
     return best

@@ -420,7 +420,6 @@ def intcov(
     *,
     artifacts=None,
     tau_hint: float | None = None,
-    bucket_cache: dict | None = None,
 ) -> Solution:
     """Exact FairHMS on a two-dimensional dataset (paper Algorithm 1).
 
@@ -433,8 +432,8 @@ def intcov(
             (rungs and listed brackets) across calls — both depend only on
             the points, not on ``constraint``, so results are unchanged.
         tau_hint: optional guess for the optimal MHR (e.g. last epoch's
-            optimum from a live index, or a neighboring ``k``'s optimum
-            from a multi-k batch).  The search lists the hint's ladder
+            optimum from a live index, or the optimum of the index's
+            previous solve for another ``k``).  The search lists the hint's ladder
             bracket first and starts at the hint's rank in it: when the
             hint *is* the optimum it is certified in two decision
             evaluations, and otherwise a galloping (exponential) search
@@ -443,12 +442,6 @@ def intcov(
             probe is a real decision evaluation, so the returned solution
             is identical with any hint — only the
             ``decision_evaluations`` diagnostic differs.
-        bucket_cache: optional mutable mapping ``tau -> per-group interval
-            indexes``, shared across calls over the *same* point set and
-            envelope (e.g. the ks of one multi-k request).  The entries
-            depend only on ``(points, envelope, tau)`` — never on the
-            constraint — so sharing them across constraints is purely a
-            cache and cannot change any answer.
 
     Returns:
         The optimal fair solution with ``mhr_estimate`` set to its exact
@@ -486,11 +479,7 @@ def intcov(
     def decide(tau: float):
         nonlocal evaluations
         evaluations += 1
-        buckets = None if bucket_cache is None else bucket_cache.get(tau)
-        if buckets is None:
-            buckets = _intervals_by_group(points, envelope, tau, group_masks)
-            if bucket_cache is not None:
-                bucket_cache[tau] = buckets
+        buckets = _intervals_by_group(points, envelope, tau, group_masks)
         return fair_interval_cover(buckets, constraint)
 
     t0 = perf_counter()

@@ -1,6 +1,6 @@
 """``repro.obs``: request tracing, Prometheus exposition, SLO tracking.
 
-The serving stack (gateway, registry, warmer, HTTP server) reports
+The serving stack (gateway, registry, HTTP server) reports
 *aggregate* health through :class:`~repro.service.metrics.ServiceMetrics`
 — that says a p99 regressed, never *why* one request was slow.  This
 package adds the per-request layer:
@@ -9,7 +9,7 @@ package adds the per-request layer:
   (one trace per request, monotonic-clock spans with tags), a bounded
   :class:`TraceStore` ring buffer with a slow-trace log, and the
   context-propagation helpers (:func:`use_trace`, :func:`current_span`,
-  :func:`child_of_current`) the gateway, registry, warmer, and solver
+  :func:`child_of_current`) the gateway, registry, and solver
   index use to annotate without holding references to each other.
 * :mod:`repro.obs.prometheus` — renders every ``ServiceMetrics``
   counter, histogram, and the server's gauges in the Prometheus text

@@ -157,7 +157,6 @@ _COUNTER_HELP = {
     "requests": "Requests submitted to the gateway.",
     "solves": "Actual solver runs (coalesced peers share one).",
     "coalesced": "Requests answered by a solve they shared.",
-    "multi_shared": "Requests served from a shared multi-k prefix solve.",
     "updates": "Write operations applied.",
     "shed": "Requests refused by admission control (429).",
     "errors": "Requests that failed with an error.",
@@ -169,7 +168,6 @@ _COUNTER_HELP = {
     "wal_appends": "Live writes made durable in the write-ahead log.",
     "wal_replays": "WAL records re-applied during index recovery.",
     "fence_violations": "Solves retired because a write fenced them.",
-    "warmups": "Speculative warm-up primes.",
 }
 
 
@@ -189,7 +187,7 @@ def render_prometheus(
         metrics: a :class:`~repro.service.metrics.ServiceMetrics` sink
             (counters + histograms + derived quantile gauges), optional.
         gauges: flat ``name -> number`` server gauges (inflight, registry
-            bytes, warm-up backlog, ...); ``None`` values are skipped.
+            bytes, ...); ``None`` values are skipped.
         slo: a :meth:`SloTracker.snapshot` dict -> per-dataset SLO gauges.
         process: a :func:`process_stats` dict -> ``repro_process_*`` gauges.
         traces: a :meth:`TraceStore.stats` dict -> trace-store series.

@@ -5,9 +5,6 @@ and a concrete algorithm name to a predicted wall-clock cost in seconds.
 The model is a calibrated asymptotic estimate, not a measurement — its
 job is ordering, not accuracy:
 
-* the :class:`~repro.service.warmup.Warmer` primes the most expensive
-  predicted work first, so an interrupted warm-up pass already shaved
-  the worst of the cold tail;
 * every recorded :class:`~repro.planner.plan.Plan` carries the predicted
   cost of the configuration it chose, so a decision is explainable after
   the fact;

@@ -84,7 +84,6 @@ from ..obs.trace import Trace, TraceStore
 from ..service.gateway import Gateway
 from ..service.metrics import LatencyHistogram
 from ..service.registry import DatasetRegistry
-from ..service.warmup import Warmer
 from .api import new_request_id, wants_envelope, wrap_legacy
 from .config import ServerConfig, build_registry
 from .http import HttpError, HttpRequest, read_request, send_json, send_text
@@ -168,8 +167,6 @@ class FairHMSServer:
         max_batch: int = 256,
         drain_timeout: float = 30.0,
         max_body_bytes: int = 1 << 20,
-        warmup: bool = False,
-        warmup_ks=(4, 6, 8),
         tracing: bool = True,
         trace_buffer: int = 256,
         slow_trace_s: float = 1.0,
@@ -194,11 +191,6 @@ class FairHMSServer:
         )
         #: Per-tenant SLO attainment over a rolling request window.
         self.slo = SloTracker(slo if slo is not None else SloObjectives())
-        #: Speculative warm-up thread (None unless enabled): primes
-        #: registered-but-cold datasets so first queries skip cold start.
-        self.warmer: Warmer | None = (
-            Warmer(registry, ks=warmup_ks, traces=self.traces) if warmup else None
-        )
         self.host = str(host)
         self.port = int(port)
         self.max_inflight = int(max_inflight)
@@ -238,8 +230,6 @@ class FairHMSServer:
             max_batch=config.max_batch,
             drain_timeout=config.drain_timeout,
             max_body_bytes=config.max_body_bytes,
-            warmup=config.warmup,
-            warmup_ks=config.warmup_ks,
             tracing=config.tracing,
             trace_buffer=config.trace_buffer,
             slow_trace_s=config.slow_trace_s,
@@ -270,8 +260,6 @@ class FairHMSServer:
             self._serve_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.warmer is not None:
-            self.warmer.start()
         return self
 
     def install_signal_handlers(self, signals=(_signal.SIGTERM, _signal.SIGINT)):
@@ -306,11 +294,14 @@ class FairHMSServer:
         connections get 503; (2) wait (bounded by ``drain_timeout``) for
         every in-flight request to resolve *and its response to be
         written*; (3) close lingering idle keep-alive connections (their
-        handlers see EOF and exit cleanly); (4) stop the gateway — its
-        own shutdown drains anything still queued so no accepted future
-        is dropped; (5) spill the registry when a snapshot tier exists,
-        so live datasets' applied writes are durable for the next
-        process.  Steps 4-5 block, so they run in the executor.
+        handlers see EOF and exit cleanly), and only then wait for the
+        listener to close — from Python 3.12.1 that wait lasts until
+        every accepted connection has closed, so waiting any earlier
+        hangs on an idle client; (4) stop the gateway — its own shutdown
+        drains anything still queued so no accepted future is dropped;
+        (5) spill the registry when a snapshot tier exists, so live
+        datasets' applied writes are durable for the next process.
+        Steps 4-5 block, so they run in the executor.
         """
         if self._draining:
             await self._stopped.wait()
@@ -318,7 +309,6 @@ class FairHMSServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         if self._active:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(
@@ -328,15 +318,14 @@ class FairHMSServer:
             with contextlib.suppress(Exception):
                 writer.close()
         await asyncio.sleep(0)  # let the woken handlers observe EOF and exit
+        if self._server is not None:
+            await self._server.wait_closed()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._shutdown_blocking)
         self._stopped.set()
 
     def _shutdown_blocking(self) -> None:
-        """Worker-side shutdown: warmer first (so no speculative build
-        races the drain), then gateway stop, then registry spill."""
-        if self.warmer is not None:
-            self.warmer.stop()
+        """Worker-side shutdown: gateway stop, then registry spill."""
         self.gateway.stop()
         if self.registry.store is not None:
             for name in self.registry.resident_names():
@@ -517,7 +506,7 @@ class FairHMSServer:
 
     def server_stats(self) -> dict:
         """HTTP-layer observability block for ``/v1/metrics``."""
-        stats = {
+        return {
             "inflight": self._inflight,
             "max_inflight": self.max_inflight,
             "draining": self._draining,
@@ -526,15 +515,12 @@ class FairHMSServer:
             "endpoints": dict(self._endpoint_hits),
             "http_latency": self.http_latency.snapshot(),
         }
-        if self.warmer is not None:
-            stats["warmup"] = self.warmer.stats()
-        return stats
 
     def prometheus_exposition(self) -> str:
         """The ``/metrics`` scrape body (Prometheus text exposition).
 
         Every ``ServiceMetrics`` counter and histogram (with ``dataset``
-        /``scenario`` labels), the server/registry/warm-up gauges, the
+        /``scenario`` labels), the server/registry gauges, the
         per-tenant SLO gauges, process gauges, and trace-store counters
         — rendered in one consistent pass.
         """
@@ -551,13 +537,6 @@ class FairHMSServer:
             "registry_resident_indexes": len(reg["resident"]),
             "registry_registered_datasets": len(reg["registered"]),
         }
-        if self.warmer is not None:
-            warm = self.warmer.stats()
-            gauges["warmup_primed"] = len(warm["primed"])
-            gauges["warmup_backlog"] = max(
-                0, len(self.registry) - len(warm["primed"])
-            )
-            gauges["warmup_errors"] = warm["errors"]
         return render_prometheus(
             self.metrics,
             gauges=gauges,

@@ -185,12 +185,6 @@ class ServerConfig:
     how long a SIGTERM-triggered drain waits for in-flight requests
     before shutting the gateway down anyway.
 
-    ``warmup`` enables the speculative warm-up thread
-    (:class:`~repro.service.warmup.Warmer`): registered-but-cold datasets
-    are built and their solver artifacts primed in the background, so
-    first queries never pay the cold-start tail.  ``warmup_ks`` is the
-    set of solution sizes it warms.
-
     ``tracing`` enables per-request tracing (on by default — overhead is
     a bounded ring buffer, see ``docs/OBSERVABILITY.md``);
     ``trace_buffer`` sizes the completed-trace ring and ``slow_trace_s``
@@ -221,8 +215,6 @@ class ServerConfig:
     max_body_bytes: int = 1 << 20
     budget_mb: float | None = None
     spill_dir: str | None = None
-    warmup: bool = False
-    warmup_ks: tuple[int, ...] = (4, 6, 8)
     tracing: bool = True
     trace_buffer: int = 256
     slow_trace_s: float = 1.0
@@ -242,13 +234,6 @@ class ServerConfig:
             raise ValueError(f"trace_buffer must be >= 1, got {self.trace_buffer}")
         if self.slow_trace_s <= 0:
             raise ValueError(f"slow_trace_s must be > 0, got {self.slow_trace_s}")
-        # TOML/JSON deliver warmup_ks as a list; normalize so the frozen
-        # config stays hashable and validates early.
-        object.__setattr__(
-            self, "warmup_ks", tuple(int(k) for k in self.warmup_ks)
-        )
-        if any(k < 1 for k in self.warmup_ks):
-            raise ValueError(f"warmup_ks must be positive: {self.warmup_ks}")
         names = [spec.name for spec in self.datasets]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate dataset names in config: {names}")

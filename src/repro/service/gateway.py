@@ -22,9 +22,10 @@ minimum amount of solver work:
   violations (only possible when callers mutate an index behind the
   gateway's back);
 * distinct queries of one batch run back to back against the dataset's
-  index (one ``index.query`` per coalesce group — the same per-query
-  path ``query_batch`` takes), sharing its artifacts, nets, and
-  memoized results, with per-group error isolation.
+  index in ascending ``k`` (one ``index.query`` per coalesce group — the
+  same per-query path ``query_batch`` takes), sharing its artifacts,
+  nets, memoized results and IntCov tau hints, with per-group error
+  isolation.
 
 Error semantics: a failing solve (e.g. an infeasible constraint) sets
 the exception on every future it was coalesced into — the same exception
@@ -525,40 +526,22 @@ class Gateway:
                 key = object()  # unique: never coalesced
             groups.setdefault(key, []).append(op)
             group_plans.setdefault(key, plan)
-        # Multi-k families: coalesce groups that are identical except for
-        # the requested k (same scheme/alpha/options, all resolved to the
-        # exact IntCov, built from k — not an explicit constraint) are
-        # answered by ONE ``index.query_multi`` call, which grows a single
-        # anchored tau search across the ks instead of solving each from
-        # scratch.  Answers are bit-identical to per-k solves, so this is
-        # pure work sharing — the same argument that justifies coalescing.
-        families: dict[tuple, list[tuple]] = {}
-        singles: list[tuple[list[_PendingOp], object]] = []
-        for key, peers in groups.items():
-            q = peers[0].query
-            if (
-                isinstance(key, tuple)
-                and key[2] == "IntCov"
-                and q.constraint is None
-                and q.k is not None
-            ):
-                fam = (key[0][1:],) + key[1:]  # drop k, keep (alpha, scheme)
-                families.setdefault(fam, []).append((peers, key))
-            else:
-                singles.append((peers, group_plans.get(key)))
-        multi_runs: list[list[list[_PendingOp]]] = []
-        for members in families.values():
-            if len(members) > 1:
-                multi_runs.append([peers for peers, _ in members])
-            else:
-                singles.extend(
-                    (peers, group_plans.get(key)) for peers, key in members
-                )
+        # Solve in ascending k (stable, so equal ks keep arrival order):
+        # each k-built IntCov solve starts from the last one's optimum, so
+        # a burst of ks climbs from optimum to optimum.  Order never
+        # changes an answer, only where each search starts.
+        def planned_k(key) -> int:
+            plan = group_plans[key]
+            return -1 if plan is None else int(plan.stats.k)
+
         # Fence: remember the data version this run is answered at; a
         # change mid-run means someone wrote around the gateway.
         fence = getattr(index, "version", None)
-        for peers, plan in singles:
-            live = [op for op in peers if op.future.set_running_or_notify_cancel()]
+        for key in sorted(groups, key=planned_k):
+            plan = group_plans[key]
+            live = [
+                op for op in groups[key] if op.future.set_running_or_notify_cancel()
+            ]
             if not live:
                 continue
             pickup = time.perf_counter()
@@ -624,86 +607,6 @@ class Gateway:
             for op in live:
                 self.metrics.observe_request(name, done - op.enqueued)
                 op.future.set_result(solution)
-        for members in multi_runs:
-            livesets = []
-            for peers in members:
-                live = [
-                    op for op in peers if op.future.set_running_or_notify_cancel()
-                ]
-                if live:
-                    livesets.append(live)
-            if not livesets:
-                continue
-            ks = [int(live[0].query.k) for live in livesets]
-            q = livesets[0][0].query
-            all_live = [op for live in livesets for op in live]
-            pickup = time.perf_counter()
-            leader = None
-            leader_set = None
-            for live in livesets:
-                for op in live:
-                    if op.trace is not None:
-                        op.trace.child("queue_wait", start=op.enqueued).end(pickup)
-                        if leader is None:
-                            leader = op.trace
-                            leader_set = live
-            t0 = time.perf_counter()
-            try:
-                with use_trace(leader):
-                    solutions = index.query_multi(
-                        ks,
-                        eps=q.eps,
-                        algorithm=q.algorithm,
-                        seed=q.seed,
-                        alpha=q.alpha,
-                        scheme=q.scheme,
-                        **q.options,
-                    )
-            except Exception as exc:  # noqa: BLE001 - forwarded to callers
-                self.metrics.incr(name, "errors", len(all_live))
-                for op in all_live:
-                    if op.trace is not None:
-                        op.trace.annotate(error=type(exc).__name__)
-                    op.future.set_exception(exc)
-                continue
-            multi_seconds = time.perf_counter() - t0
-            self.metrics.observe_solve(name, multi_seconds)
-            if planner is not None:
-                # Shared multi-k searches amortize one solve across the
-                # family; attribute an equal share to each k's estimator
-                # cell (families only form on the exact IntCov path).
-                per_k = multi_seconds / max(1, len(ks))
-                for k in ks:
-                    planner.observe(name, "IntCov", int(k), per_k)
-            # One "solves" per answered key keeps the counter's meaning
-            # (answers computed, memoized or not) stable for dashboards;
-            # "multi_shared" records how many of them rode a shared
-            # search instead of paying their own.
-            self.metrics.incr(name, "solves", len(ks))
-            self.metrics.incr(name, "multi_shared", len(ks) - 1)
-            coalesced = len(all_live) - len(livesets)
-            if coalesced:
-                self.metrics.incr(name, "coalesced", coalesced)
-            if leader is not None:
-                leader.annotate(multi_ks=",".join(str(k) for k in ks))
-            for live in livesets:
-                for op in live:
-                    tr = op.trace
-                    if tr is None or tr is leader:
-                        continue
-                    if live is leader_set:
-                        tr.annotate(coalesced_into=leader.trace_id)
-                    else:
-                        # Answered by the shared multi-k search the
-                        # leader's trace carries — a distinct k, so it's
-                        # "shared with", not "coalesced into".
-                        tr.annotate(multi_shared_with=leader.trace_id)
-            done = time.perf_counter()
-            for live, solution in zip(livesets, solutions):
-                self._record_phases(name, solution)
-                for op in live:
-                    self.metrics.observe_request(name, done - op.enqueued)
-                    op.future.set_result(solution)
         if getattr(index, "version", None) != fence:
             # Only reachable when an index is mutated outside the
             # gateway while a batch was in flight.

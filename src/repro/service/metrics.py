@@ -40,7 +40,6 @@ _COUNTER_NAMES = (
     "requests",
     "solves",
     "coalesced",
-    "multi_shared",
     "updates",
     "shed",
     "errors",
@@ -52,7 +51,6 @@ _COUNTER_NAMES = (
     "wal_appends",
     "wal_replays",
     "fence_violations",
-    "warmups",
 )
 
 

@@ -198,12 +198,9 @@ class FairHMSIndex:
         # wholesale and paying a full-search latency cliff for every key.
         self._tau_hints: OrderedDict[tuple, float] = OrderedDict()
         self._max_tau_hints = 4 * self._max_cached_results
-        # Multi-k sharing diagnostics (see query_multi): how many ks paid
-        # a full anchored-from-nothing search, how many rode a neighboring
-        # k's optimum, and how many fell back to independent solves.
-        self._multi_growths = 0
-        self._multi_prefix_hits = 0
-        self._multi_fallbacks = 0
+        # Optimal tau of the last k-built IntCov solve: the hint for a
+        # k-built query with no hint of its own; kept across epochs too.
+        self._last_k_tau: float | None = None
 
     @classmethod
     def from_preprocessed(
@@ -324,9 +321,6 @@ class FairHMSIndex:
             info["result_misses"] = self._result_misses
             info["results_cached"] = len(self._results)
             info["cache_bytes"] = self.cache_bytes()
-            info["multi_growths"] = self._multi_growths
-            info["multi_prefix_hits"] = self._multi_prefix_hits
-            info["multi_fallbacks"] = self._multi_fallbacks
             return info
 
     def cache_bytes(self) -> int:
@@ -413,6 +407,7 @@ class FairHMSIndex:
         with self._serve_lock:
             self._results.clear()
             self._tau_hints.clear()
+            self._last_k_tau = None
             self._evaluator = None
             if self._artifacts is not None:
                 self._artifacts.clear()
@@ -577,6 +572,10 @@ class FairHMSIndex:
         running the plan is always ``solve_fairhms(skyline, constraint,
         algorithm=plan.algorithm, **plan.solver_kwargs())``, so a planned
         answer is bit-identical to the same configuration run by hand.
+        An IntCov solve starts its search at a ``tau_hint``: the last
+        optimum of the same query, else — for a constraint built from
+        ``k`` — the last optimum of any k-built IntCov solve.  A hint
+        moves where the search starts, never what it returns.
 
         Args:
             k: solution size; builds a ``scheme`` constraint when no
@@ -607,7 +606,8 @@ class FairHMSIndex:
             self._refresh()
             if self._skyline is None:
                 raise ValueError("no tuples alive; insert data before querying")
-            if constraint is None:
+            k_built = constraint is None
+            if k_built:
                 if k is None:
                     raise ValueError(
                         "provide either k or an explicit constraint"
@@ -642,8 +642,10 @@ class FairHMSIndex:
                             result_cache_hit=True, algorithm=str(algorithm)
                         )
                     return cached
-            if algorithm == "IntCov" and key is not None:
-                hint = self._tau_hint_for(key)
+            if algorithm == "IntCov":
+                hint = None if key is None else self._tau_hint_for(key)
+                if hint is None and k_built:
+                    hint = self._last_k_tau
                 if hint is not None:
                     solver_kwargs["tau_hint"] = hint
             started = time.perf_counter() if parent is not None else 0.0
@@ -656,9 +658,12 @@ class FairHMSIndex:
             )
             if parent is not None:
                 _trace_solve(parent, started, algorithm, constraint, solution)
-            if key is not None:
-                if algorithm == "IntCov":
+            if algorithm == "IntCov":
+                if key is not None:
                     self._record_tau_hint(key, solution)
+                if k_built:
+                    self._last_k_tau = float(solution.stats["tau"])
+            if key is not None:
                 self._result_misses += 1
                 while len(self._results) >= self._max_cached_results:
                     self._results.popitem(last=False)  # least recently used
@@ -710,120 +715,6 @@ class FairHMSIndex:
             )
             for q in specs
         ]
-
-    def query_multi(
-        self,
-        ks,
-        *,
-        eps: float = 0.02,
-        algorithm: str = "auto",
-        seed: int | None = None,
-        alpha: float = 0.1,
-        scheme: str = "proportional",
-        **options,
-    ) -> list[Solution]:
-        """Solve one request asking several solution sizes, sharing work.
-
-        Answers are **bit-identical** to calling :meth:`query` once per
-        ``k`` — the sharing is pure reuse, never approximation:
-
-        * On the exact IntCov path the ks are solved in ascending order as
-          *one grown search*: the first uncached ``k`` pays a full
-          tau-descent ("growth"), and every later ``k`` anchors its search
-          at the previous optimum ("prefix snapshot") — feasibility is
-          monotone in ``tau`` per constraint, and the returned cover is a
-          deterministic function of the optimal ``tau`` alone, so any
-          search route to the same optimum yields the same solution.  The
-          per-``tau`` interval indexes (which depend only on the point
-          set, not on ``k``) are additionally shared across the ks through
-          a bucket cache.
-        * Sizes that resolve to the BiGreedy family fall back to
-          independent :meth:`query` calls — their delta-net size is
-          ``k``-dependent and the tau-cap descent is not prefix-nested, so
-          no exact sharing exists there.
-
-        Diagnostics land in :meth:`cache_info`: ``multi_growths`` /
-        ``multi_prefix_hits`` / ``multi_fallbacks``.
-
-        Returns:
-            Solutions aligned with ``ks`` (duplicates allowed; each
-            distinct size is solved once).
-        """
-        with self._serve_lock:
-            self._refresh()
-            if self._skyline is None:
-                raise ValueError("no tuples alive; insert data before querying")
-            ks_list = [int(k) for k in ks]
-            solutions: dict[int, Solution] = {}
-            bucket_cache: dict = {}
-            prev_tau: float | None = None
-            for k in sorted(set(ks_list)):
-                constraint = self.constraint_for(k, alpha=alpha, scheme=scheme)
-                plan = self._planner.plan(
-                    self._skyline,
-                    constraint,
-                    algorithm=algorithm,
-                    dataset=self._dataset_label(None),
-                    eps=eps,
-                    seed=seed if seed is not None else self._default_seed,
-                    options=options,
-                    artifacts=self._artifacts,
-                )
-                resolved = plan.algorithm
-                if resolved != "IntCov":
-                    self._multi_fallbacks += 1
-                    solutions[k] = self.query(
-                        k,
-                        alpha=alpha,
-                        scheme=scheme,
-                        plan=plan,
-                    )
-                    continue
-                solver_kwargs = plan.solver_kwargs()
-                key = self._result_key(resolved, constraint, solver_kwargs)
-                if key is not None:
-                    cached = self._results.get(key)
-                    if cached is not None:
-                        self._result_hits += 1
-                        self._results.move_to_end(key)
-                        solutions[k] = cached
-                        parent = current_span()
-                        if parent is not None:
-                            parent.annotate(result_cache_hit=True)
-                        tau = cached.stats.get("tau")
-                        prev_tau = float(tau) if tau is not None else prev_tau
-                        continue
-                anchor = self._tau_hint_for(key) if key is not None else None
-                if anchor is None:
-                    anchor = prev_tau
-                if anchor is None:
-                    self._multi_growths += 1
-                else:
-                    self._multi_prefix_hits += 1
-                    solver_kwargs["tau_hint"] = anchor
-                # The bucket cache is keyed on tau only and never affects
-                # results, so it stays out of the memo key.
-                solver_kwargs["bucket_cache"] = bucket_cache
-                parent = current_span()
-                started = time.perf_counter() if parent is not None else 0.0
-                solution = solve_fairhms(
-                    self._skyline,
-                    constraint,
-                    algorithm=resolved,
-                    artifacts=self._artifacts,
-                    **solver_kwargs,
-                )
-                if parent is not None:
-                    _trace_solve(parent, started, resolved, constraint, solution)
-                if key is not None:
-                    self._record_tau_hint(key, solution)
-                    self._result_misses += 1
-                    while len(self._results) >= self._max_cached_results:
-                        self._results.popitem(last=False)
-                    self._results[key] = solution
-                prev_tau = float(solution.stats["tau"])
-                solutions[k] = solution
-            return [solutions[k] for k in ks_list]
 
     def _result_key(self, algorithm, constraint, solver_kwargs) -> tuple | None:
         """Memoization key, or ``None`` when the query must not be cached

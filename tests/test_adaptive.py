@@ -65,3 +65,25 @@ class TestBiGreedyPlus:
         c = FairnessConstraint.exact([1, 1])
         s = bigreedy_plus(lsac_sky, c, seed=0)
         assert sorted(s.ids.tolist()) == [4, 7]  # a5, a8
+
+    def test_phases_sum_every_iteration(self, small3d, monkeypatch):
+        import repro.core.adaptive as adaptive
+        from repro.core.bigreedy import bigreedy
+
+        c = FairnessConstraint.proportional(4, small3d.group_sizes, alpha=0.1)
+        plain = bigreedy_plus(small3d, c, initial_size=8, max_size=64, lam=1e-9, seed=5)
+        recorded = []
+
+        def recording_bigreedy(*args, **kwargs):
+            solution = bigreedy(*args, **kwargs)
+            recorded.append(dict(solution.stats["phases"]))
+            return solution
+
+        monkeypatch.setattr(adaptive, "bigreedy", recording_bigreedy)
+        s = bigreedy_plus(small3d, c, initial_size=8, max_size=64, lam=1e-9, seed=5)
+        assert len(recorded) == s.stats["iterations"] >= 2
+        for phase in ("engine", "search", "finalize"):
+            assert s.stats["phases"][phase] >= sum(p[phase] for p in recorded)
+        # Timing only: the answer is the unwrapped one.
+        np.testing.assert_array_equal(s.indices, plain.indices)
+        assert s.mhr_estimate == plain.mhr_estimate

@@ -192,7 +192,7 @@ class TestMetricsValidation:
 
     def test_known_counters_all_accepted(self):
         metrics = ServiceMetrics()
-        for name in ("requests", "solves", "coalesced", "shed", "warmups"):
+        for name in ("requests", "solves", "coalesced", "shed", "wal_appends"):
             metrics.incr("a", name)
         assert metrics.snapshot()["datasets"]["a"]["shed"] == 1
 

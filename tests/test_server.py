@@ -11,6 +11,7 @@ The load-bearing invariants:
   writes included) into a reloadable snapshot.
 """
 
+import asyncio
 import http.client
 import json
 import os
@@ -594,8 +595,6 @@ class TestGracefulDrain:
         # A query arriving while draining is answered 503, not queued
         # (dispatched on the server loop: drained listeners refuse new
         # connections, so the wire can no longer carry one).
-        import asyncio
-
         from repro.server.http import HttpRequest
 
         request = HttpRequest(
@@ -641,6 +640,46 @@ class TestGracefulDrain:
         a, b = reloaded.query(3), oracle.query(3)
         np.testing.assert_array_equal(a.ids, b.ids)
         assert a.mhr_estimate == b.mhr_estimate
+
+    def test_drain_with_idle_keepalive_client(self):
+        """From Python 3.12.1 ``Server.wait_closed`` returns only once
+        every accepted connection is closed, so a drain that waits on it
+        before closing idle keep-alive connections never finishes."""
+        factory = GatedFactory()
+        registry = make_registry()
+        registry.register("slow", factory=factory, default_seed=7)
+        st = ServerThread(registry)
+        host, port = st.start()
+        server = st.server
+
+        async def wait_closed_like_3_12():
+            while any(not writer.is_closing() for writer in server._writers):
+                await asyncio.sleep(0.01)
+
+        server._server.wait_closed = wait_closed_like_3_12
+        idle = Client(host, port)
+        assert idle.get("/healthz")[0] == 200  # now idles, kept alive
+        results = [None]
+        inflight = threading.Thread(
+            target=_post_in_thread,
+            args=(host, port, "/v1/query", {"dataset": "slow", "k": 3},
+                  results, 0),
+        )
+        inflight.start()
+        _wait_for_inflight(host, port, 1)
+        drainer = threading.Thread(target=st.drain, daemon=True)
+        drainer.start()
+        deadline = time.monotonic() + 5
+        while not server.draining and time.monotonic() < deadline:
+            time.sleep(0.01)
+        factory.gate.set()
+        drainer.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not drainer.is_alive(), "drain hung on an idle client"
+        inflight.join(timeout=30)
+        assert not inflight.is_alive()
+        status, payload = results[0]
+        assert status == 200 and payload["size"] == 3  # answered in flight
+        idle.close()
 
     def test_drain_is_idempotent(self):
         registry = DatasetRegistry()
@@ -778,22 +817,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="sequentially"):
             DatasetSpec(name="x", live=True, build_workers=4)
 
-    def test_warmup_knob_parsed_and_validated(self):
-        config = ServerConfig()
-        assert config.warmup is False  # off by default: no surprise threads
-        config = parse_config({"server": {"warmup": True, "warmup_ks": [3, 5]}})
-        assert config.warmup is True
-        assert config.warmup_ks == (3, 5)
-        with pytest.raises(ValueError, match="warmup_ks"):
-            ServerConfig(warmup_ks=(0,))
-        server = FairHMSServer.from_config(config, registry=make_registry())
-        assert server.warmer is not None
-        assert server.warmer.ks == (3, 5)
-        assert FairHMSServer(make_registry()).warmer is None
-
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown \\[server\\] keys"):
             parse_config({"server": {"prot": 1}})
+        with pytest.raises(ValueError, match="warmup"):
+            parse_config({"server": {"warmup": False}})  # retired knob
         with pytest.raises(ValueError, match="unknown keys"):
             parse_config({"datasets": [{"name": "a", "sise": 5}]})
         with pytest.raises(ValueError, match="top-level"):

@@ -12,7 +12,6 @@ The load-bearing invariants:
 """
 
 import gc
-import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -567,127 +566,30 @@ class TestGateway:
             name = "a" if i % 2 else "b"
             assert_same_solution(r, reg.get(name).query(4 + (i % 3)))
 
-    def test_multi_k_batch_shares_one_grown_search(self):
-        # ks=[4, 6, 8] in one batch: one tau-descent growth, the other
-        # ks ride prefix snapshots; every answer == an independent cold
-        # solve on a fresh index.
+    def test_multi_k_burst_solves_in_ascending_k(self):
+        # ks 8, 4, 6 and a duplicate 6 in one run: three solves, in
+        # ascending k so each starts from the last optimum, every answer
+        # == a cold solve on a fresh index.
         reg, gw = self.make()
-        futures = {k: gw.submit("a", k) for k in (4, 6, 8)}
+        index, solved = reg.get("a"), []
+        query = index.query
+
+        def recording_query(k=None, **kwargs):
+            solved.append(k)
+            return query(k, **kwargs)
+
+        index.query = recording_query
+        futures = {k: gw.submit("a", k) for k in (8, 4, 6)}
         dup = gw.submit("a", 6)
         gw.drain()
+        assert solved == [4, 6, 8]
         data = tenant(seed=36, name="a")
         for k, f in futures.items():
-            cold = FairHMSIndex(data).query(k)
-            assert_same_solution(f.result(timeout=0), cold)
+            assert_same_solution(f.result(timeout=0), FairHMSIndex(data).query(k))
         assert dup.result(timeout=0) is futures[6].result(timeout=0)
         totals = reg.metrics.snapshot()["totals"]
-        assert totals["solves"] == 3  # one per answered k, shared or not
-        assert totals["multi_shared"] == 2
+        assert totals["solves"] == 3
         assert totals["coalesced"] == 1
-        info = reg.get("a").cache_info()
-        assert info["multi_growths"] == 1
-        assert info["multi_prefix_hits"] == 2
-
-    def test_multi_k_bundling_skips_bigreedy(self):
-        # >2-D routes to BiGreedy+, where no exact sharing exists: the ks
-        # must solve independently (and still match direct queries).
-        reg = DatasetRegistry()
-        reg.register("a", tenant(d=3, seed=36, name="a"))
-        gw = Gateway(reg)
-        futures = {k: gw.submit("a", k, seed=5) for k in (4, 6)}
-        gw.drain()
-        for k, f in futures.items():
-            assert_same_solution(f.result(timeout=0), reg.get("a").query(k, seed=5))
-        totals = reg.metrics.snapshot()["totals"]
-        assert totals["solves"] == 2
-        assert totals.get("multi_shared", 0) == 0
-
-
-class TestWarmer:
-    def test_run_once_primes_cold_datasets(self):
-        from repro.service.warmup import Warmer
-
-        reg = DatasetRegistry()
-        reg.register("a", tenant(seed=40, name="a"))
-        reg.register("b", tenant(seed=41, name="b"))
-        warmer = Warmer(reg, ks=(4, 6))
-        assert warmer.run_once() == 2
-        totals = reg.metrics.snapshot()["totals"]
-        assert totals["warmups"] == 2
-        for name in ("a", "b"):
-            index = reg.peek(name)
-            assert index is not None
-            assert index.cache_info()["results_cached"] == 2
-        # A primed query is a pure cache hit — no new solve.
-        index = reg.get("a")
-        hits = index.cache_info()["result_hits"]
-        index.query(4)
-        assert index.cache_info()["result_hits"] == hits + 1
-
-    def test_warm_answers_bit_identical_to_cold(self):
-        from repro.service.warmup import Warmer
-
-        reg = DatasetRegistry()
-        reg.register("a", tenant(seed=42, name="a"))
-        Warmer(reg, ks=(4,)).run_once()
-        warm = reg.get("a").query(4)
-        cold = FairHMSIndex(tenant(seed=42, name="a")).query(4)
-        assert_same_solution(warm, cold)
-
-    def test_second_pass_is_idempotent(self):
-        from repro.service.warmup import Warmer
-
-        reg = DatasetRegistry()
-        reg.register("a", tenant(seed=40, name="a"))
-        warmer = Warmer(reg, ks=(4,))
-        assert warmer.run_once() == 1
-        assert warmer.run_once() == 0  # same index object: nothing to do
-        assert reg.metrics.snapshot()["totals"]["warmups"] == 1
-
-    def test_never_rebuilds_a_budget_evicted_dataset(self):
-        from repro.service.warmup import Warmer
-
-        reg = DatasetRegistry(max_bytes=1)  # any second resident evicts
-        reg.register("a", tenant(seed=40, name="a"))
-        reg.register("b", tenant(seed=41, name="b"))
-        warmer = Warmer(reg, ks=(4,))
-        warmer.run_once()
-        # The 1-byte budget keeps at most one index resident; at least
-        # one tenant was evicted right after priming.  The warmer must
-        # not fight the budget by rebuilding it.
-        evicted = [n for n in ("a", "b") if reg.peek(n) is None]
-        assert evicted
-        warmer.run_once()
-        for name in evicted:
-            assert reg.peek(name) is None  # still cold: budget respected
-
-    def test_reprimes_after_eviction_and_rebuild(self):
-        from repro.service.warmup import Warmer
-
-        reg = DatasetRegistry()
-        reg.register("a", tenant(seed=40, name="a"))
-        warmer = Warmer(reg, ks=(4,))
-        warmer.run_once()
-        reg.evict("a", force=True)
-        index = reg.get("a")  # someone touches it: fresh, cold index
-        assert index.cache_info()["results_cached"] == 0
-        assert warmer.run_once() == 1  # new object -> primed again
-        assert index.cache_info()["results_cached"] == 1
-
-    def test_start_stop_lifecycle(self):
-        from repro.service.warmup import Warmer
-
-        reg = DatasetRegistry()
-        reg.register("a", tenant(seed=40, name="a"))
-        with Warmer(reg, ks=(4,), interval=0.01) as warmer:
-            deadline = time.monotonic() + 30
-            while not warmer.stats()["primed"] and time.monotonic() < deadline:
-                time.sleep(0.01)
-            stats = warmer.stats()
-            assert stats["running"] is True
-            assert stats["primed"] == ["a"]
-            assert stats["errors"] == 0
-        assert warmer.stats()["running"] is False
 
 
 class TestMetrics:

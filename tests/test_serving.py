@@ -495,69 +495,45 @@ class TestQueryBatch:
         assert solution.stats["mode"] == "bicriteria"
 
 
-class TestQueryMulti:
-    """Shared multi-k prefixes: one grown search, bit-identical answers."""
+class TestKBuiltTauHint:
+    """A k-built IntCov query with no hint of its own starts at the last
+    k-built optimum; no answer depends on it."""
 
-    def test_one_growth_rest_prefix_hits(self, small2d):
-        index = FairHMSIndex(small2d)
-        index.query_multi([4, 6, 8])
-        info = index.cache_info()
-        assert info["multi_growths"] == 1  # only the first k pays a descent
-        assert info["multi_prefix_hits"] == 2
-        assert info["multi_fallbacks"] == 0
+    @pytest.fixture(scope="class", params=[101, 102, 103])
+    def data(self, request):
+        return anticorrelated_dataset(2_000, 2, 3, seed=request.param)
 
-    def test_bit_identical_to_independent_cold_solves(self, small2d):
+    @pytest.mark.parametrize(
+        "order", [(4, 6, 8), (8, 6, 4), (6, 4, 8)], ids=["up", "down", "mixed"]
+    )
+    def test_any_k_order_matches_fresh_solves(self, small2d, order):
         index = FairHMSIndex(small2d)
-        shared = index.query_multi([4, 6, 8])
-        for k, warm in zip((4, 6, 8), shared):
-            constraint = index.constraint_for(k)
-            cold = solve_fairhms(index.skyline, constraint, algorithm="IntCov")
-            np.testing.assert_array_equal(cold.indices, warm.indices)
-            assert cold.mhr_estimate == warm.mhr_estimate
-            # ... and to a fresh index answering each k on its own.
-            fresh = FairHMSIndex(small2d).query(k)
-            np.testing.assert_array_equal(fresh.indices, warm.indices)
-            assert fresh.mhr_estimate == warm.mhr_estimate
+        for k in order:
+            got, fresh = index.query(k), FairHMSIndex(small2d).query(k)
+            np.testing.assert_array_equal(got.indices, fresh.indices)
+            assert got.mhr_estimate == fresh.mhr_estimate
 
-    def test_second_call_served_from_memo(self, small2d):
-        index = FairHMSIndex(small2d)
-        first = index.query_multi([4, 6, 8])
-        hits_before = index.cache_info()["result_hits"]
-        second = index.query_multi([4, 6, 8])
-        for a, b in zip(first, second):
-            assert b is a
-        assert index.cache_info()["result_hits"] == hits_before + 3
+    def test_next_k_starts_at_the_last_optimum(self, data):
+        index = FairHMSIndex(data)
+        index.query(6)
+        # k=6 and k=8 share their optimum here: certified in two probes.
+        assert index.query(8).stats["decision_evaluations"] == 2
+        index.clear_caches()  # drops the hint with everything else
+        fresh = FairHMSIndex(data).query(8).stats["decision_evaluations"]
+        assert index.query(8).stats["decision_evaluations"] == fresh
 
-    def test_duplicate_and_unsorted_ks(self, small2d):
-        index = FairHMSIndex(small2d)
-        solutions = index.query_multi([8, 4, 8])
-        assert solutions[0] is solutions[2]  # duplicates solved once
-        np.testing.assert_array_equal(
-            solutions[1].indices, FairHMSIndex(small2d).query(4).indices
+    def test_explicit_bounds_take_no_k_built_hint(self, data):
+        explicit = FairnessConstraint(
+            lower=np.array([2, 2, 2]), upper=np.array([4, 4, 4]), k=8
         )
-        assert index.cache_info()["multi_growths"] == 1
-
-    def test_plain_query_anchor_shares_the_search(self, small2d):
-        # A single k solved the ordinary way leaves a tau hint; the next
-        # multi-k request anchors on it instead of growing from scratch.
-        index = FairHMSIndex(small2d)
-        index.query(4)
-        index.query_multi([4, 6])
-        info = index.cache_info()
-        assert info["multi_growths"] == 0
-        assert info["multi_prefix_hits"] == 1
-        assert info["result_hits"] == 1  # k=4 came straight from the memo
-
-    def test_bigreedy_family_falls_back_per_k(self, small3d):
-        index = FairHMSIndex(small3d)
-        shared = index.query_multi([4, 5], seed=9)
-        info = index.cache_info()
-        assert info["multi_fallbacks"] == 2  # no exact sharing in >2-D
-        assert info["multi_growths"] == 0
-        for k, warm in zip((4, 5), shared):
-            cold = FairHMSIndex(small3d).query(k, seed=9)
-            np.testing.assert_array_equal(cold.indices, warm.indices)
-            assert cold.mhr_estimate == warm.mhr_estimate
+        index = FairHMSIndex(data)
+        index.query(6)
+        index.query(8)
+        got = index.query(constraint=explicit)
+        fresh = FairHMSIndex(data).query(constraint=explicit)
+        np.testing.assert_array_equal(got.indices, fresh.indices)
+        evaluations = fresh.stats["decision_evaluations"]
+        assert got.stats["decision_evaluations"] == evaluations
 
 
 class TestMhrEvaluatorPreseeding:
