@@ -433,11 +433,11 @@ def intcov(
             the points, not on ``constraint``, so results are unchanged.
         tau_hint: optional guess for the optimal MHR (e.g. last epoch's
             optimum from a live index, or the optimum of the index's
-            previous solve for another ``k``).  The search lists the hint's ladder
-            bracket first and starts at the hint's rank in it: when the
-            hint *is* the optimum it is certified in two decision
-            evaluations, and otherwise a galloping (exponential) search
-            homes in on the optimum in ``O(log(rank distance))``
+            previous solve for another ``k``).  The search lists the
+            hint's ladder bracket first and starts at the hint's rank in
+            it: when the hint *is* the optimum it is certified in two
+            decision evaluations, and otherwise a galloping (exponential)
+            search homes in on the optimum in ``O(log(rank distance))``
             evaluations.  Feasibility is monotone in ``tau`` and every
             probe is a real decision evaluation, so the returned solution
             is identical with any hint — only the
