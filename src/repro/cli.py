@@ -10,7 +10,7 @@ Commands:
   ``LiveFairHMSIndex`` and the rebuild-per-update baseline, verifying
   bit-identical answers and reporting the amortized speedup.
 * ``service``     — run a seeded multi-tenant workload through the
-  concurrent ``Gateway`` (registry + coalescing + micro-batching) and
+  concurrent ``Gateway`` (registry + coalescing + backlog batching) and
   the naive one-query-at-a-time loop, verifying bit-identical answers
   and printing throughput plus the metrics snapshot.
 * ``snapshot``    — persist a warm ``FairHMSIndex`` to a versioned
@@ -315,7 +315,6 @@ def _cmd_service(args) -> int:
         hot_frac=args.hot_frac,
         seed=args.workload_seed,
         default_seed=args.seed,
-        batch_window=args.window,
         max_bytes=max_bytes,
         build_workers=args.build_workers,
         naive=not args.no_naive,
@@ -876,12 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         default="auto",
         choices=["auto", "IntCov", "BiGreedy", "BiGreedy+"],
-    )
-    service.add_argument(
-        "--window",
-        type=float,
-        default=0.005,
-        help="micro-batch window in seconds",
     )
     service.add_argument(
         "--budget-mb",

@@ -231,13 +231,13 @@ def render_prometheus(
             "gateway_batches_total",
             data["batches"],
             base,
-            help="Gateway dispatch cycles.",
+            help="Gateway mailbox runs (one dataset's queued ops, taken together).",
         )
         r.counter(
             "gateway_batched_requests_total",
             data["batched_requests"],
             base,
-            help="Requests covered by gateway dispatch cycles.",
+            help="Requests and writes covered by gateway mailbox runs.",
         )
         # Derived cross-dataset quantiles through the one shared
         # merge_quantile path (same numbers solve_quantile serves).

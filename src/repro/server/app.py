@@ -163,8 +163,6 @@ class FairHMSServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 64,
-        batch_window: float = 0.002,
-        max_batch: int = 256,
         drain_timeout: float = 30.0,
         max_body_bytes: int = 1 << 20,
         tracing: bool = True,
@@ -180,9 +178,7 @@ class FairHMSServer:
         #: theirs from the supervisor; a standalone server is "server").
         self.worker_id = str(worker_id) if worker_id else "server"
         self.metrics = registry.metrics
-        self.gateway = Gateway(
-            registry, batch_window=batch_window, max_batch=max_batch
-        )
+        self.gateway = Gateway(registry)
         #: Completed-trace ring buffer (None with tracing disabled).
         self.traces: TraceStore | None = (
             TraceStore(capacity=trace_buffer, slow_threshold=slow_trace_s)
@@ -226,8 +222,6 @@ class FairHMSServer:
             host=config.host,
             port=config.port,
             max_inflight=config.max_inflight,
-            batch_window=config.batch_window,
-            max_batch=config.max_batch,
             drain_timeout=config.drain_timeout,
             max_body_bytes=config.max_body_bytes,
             tracing=config.tracing,
@@ -251,7 +245,7 @@ class FairHMSServer:
         return self._draining
 
     async def start(self) -> "FairHMSServer":
-        """Bind the listener and start the gateway dispatcher."""
+        """Bind the listener and start the gateway's worker pool."""
         self._quiesced = asyncio.Event()
         self._quiesced.set()
         self._stopped = asyncio.Event()

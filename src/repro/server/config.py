@@ -209,8 +209,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8080
     max_inflight: int = 64
-    batch_window: float = 0.002
-    max_batch: int = 256
     drain_timeout: float = 30.0
     max_body_bytes: int = 1 << 20
     budget_mb: float | None = None

@@ -9,7 +9,7 @@
 * :func:`build_index_sharded` / :func:`parallel_preprocess` — cold
   builds with normalization + per-group skyline extraction partitioned
   across a process pool, bit-identical to the sequential build;
-* :class:`Gateway` — micro-batching request scheduler: coalesces
+* :class:`Gateway` — backlog-batching request scheduler: coalesces
   identical concurrent queries into one solve, serializes each
   dataset's writes against its query batches (epoch fencing), and runs
   different datasets in parallel;

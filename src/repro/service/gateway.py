@@ -1,16 +1,19 @@
-"""The micro-batching gateway: concurrent requests in, one solve out.
+"""The batching gateway: concurrent requests in, one solve out.
 
 Real FairHMS traffic is bursty and redundant — many users ask the same
 ``(dataset, k, constraint, algorithm)`` at once.  The
 :class:`Gateway` absorbs concurrent requests and turns them into the
 minimum amount of solver work:
 
-* **micro-batching** — :meth:`Gateway.submit` enqueues a request and
-  returns a :class:`concurrent.futures.Future`; the dispatcher collects
-  requests for one ``batch_window`` (or until ``max_batch``), so bursts
-  are handled as batches instead of a convoy of single solves;
-* **coalescing** — within a batch window, requests with identical query
-  keys collapse into **one** solve whose solution resolves every peer's
+* **batching by backlog** — :meth:`Gateway.submit` files a request
+  straight into its dataset's mailbox and returns a
+  :class:`concurrent.futures.Future`; an idle dataset is scheduled on
+  the worker pool at once, and whatever queues while a dataset's run
+  executes becomes its next run.  The running solve is the window: a
+  lone request waits for nothing, a burst is handled as a batch instead
+  of a convoy of single solves;
+* **coalescing** — within one run, requests with identical query keys
+  collapse into **one** solve whose solution resolves every peer's
   future (solves are deterministic, so the shared answer is exactly what
   each peer would have computed alone);
 * **per-dataset serialization with write fencing** — each dataset's
@@ -21,26 +24,25 @@ minimum amount of solver work:
   version check around every query run *verifies* the fence and counts
   violations (only possible when callers mutate an index behind the
   gateway's back);
-* distinct queries of one batch run back to back against the dataset's
-  index in ascending ``k`` (one ``index.query`` per coalesce group — the
-  same per-query path ``query_batch`` takes), sharing its artifacts,
-  nets, memoized results and IntCov tau hints, with per-group error
-  isolation.
+* distinct queries of one run execute back to back against the
+  dataset's index in ascending ``k`` (one ``index.query`` per coalesce
+  group — the same per-query path ``query_batch`` takes), sharing its
+  artifacts, nets, memoized results and IntCov tau hints, with
+  per-group error isolation.
 
 Error semantics: a failing solve (e.g. an infeasible constraint) sets
 the exception on every future it was coalesced into — the same exception
 type a direct ``index.query`` call raises.
 
-Use either the background dispatcher (:meth:`start` / :meth:`stop`, or
-the context manager) with concurrent producers, or the synchronous
-:meth:`drain` to process everything queued from the calling thread
-(tests, benchmarks, single-threaded replay).
+Use either the worker pool (:meth:`start` / :meth:`stop`, or the context
+manager) with concurrent producers, or, without starting it, the
+synchronous :meth:`drain` to process everything queued from the calling
+thread (tests, benchmarks, single-threaded replay).
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
 from collections import deque
@@ -133,40 +135,24 @@ class Gateway:
         registry: where datasets live; indexes are built on first touch
             (and may be evicted/rebuilt under its byte budget at any
             point — answers are unaffected).
-        batch_window: seconds the dispatcher waits after the first
-            request of a cycle for more to arrive.  Larger windows
-            coalesce more at the cost of added latency.
-        max_batch: dispatch early once this many requests are queued.
         max_workers: threads executing per-dataset drains; parallelism
             across datasets (one dataset's work is always serialized).
     """
 
     def __init__(
-        self,
-        registry: DatasetRegistry,
-        *,
-        batch_window: float = 0.002,
-        max_batch: int = 256,
-        max_workers: int | None = None,
+        self, registry: DatasetRegistry, *, max_workers: int | None = None
     ) -> None:
         self.registry = registry
         self.metrics: ServiceMetrics = registry.metrics
-        self.batch_window = float(batch_window)
-        self.max_batch = int(max_batch)
         self._max_workers = max_workers or min(8, (os.cpu_count() or 1) + 4)
-        self._inbox: queue.SimpleQueue[_PendingOp] = queue.SimpleQueue()
+        # A dataset name is in _scheduled while exactly one thread owns
+        # its mailbox; only the owner drains it, and the owner leaves
+        # only once it finds the mailbox empty (both under _mail_lock).
         self._mailboxes: dict[str, deque[_PendingOp]] = {}
         self._scheduled: set[str] = set()
         self._mail_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
-        self._dispatcher: threading.Thread | None = None
-        self._stop_event = threading.Event()
         self._stopping = False
-        # Serializes drain() callers against each other; combined with
-        # joining the dispatcher first, it keeps the final stop-time
-        # drain from ever overlapping a dispatcher cycle (drain()'s
-        # contract).
-        self._drain_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # producer API
@@ -243,17 +229,25 @@ class Gateway:
             trace=trace,
         )
         self.metrics.incr(dataset, "requests" if kind == "query" else "updates")
-        self._inbox.put(op)
-        if self._stopping:
-            # Enqueued concurrently with stop(): the dispatcher may
-            # already have drained for the last time, so process the
-            # inbox here — no accepted future may be left pending.  Wait
-            # out the dispatcher's final cycle first: drain() must never
-            # run while it may still be mid-collect.
-            dispatcher = self._dispatcher
-            if dispatcher is not None:
-                dispatcher.join()
-            self.drain()
+        with self._mail_lock:
+            self._mailboxes.setdefault(dataset, deque()).append(op)
+            pool = self._pool
+            # Not started: only queue (drain() or start() picks it up).
+            # Started or stopped, an idle dataset is claimed here; a busy
+            # one's owner takes the op in its next run.
+            claim = (pool is not None or self._stopping) and (
+                dataset not in self._scheduled
+            )
+            if claim:
+                self._scheduled.add(dataset)
+        if claim:
+            if pool is not None:
+                try:
+                    pool.submit(self._drain_mailbox, dataset)
+                    return op.future
+                except RuntimeError:
+                    pass  # shut down by a racing stop(): drain it here
+            self._drain_mailbox(dataset)
         return op.future
 
     # ------------------------------------------------------------------ #
@@ -261,38 +255,34 @@ class Gateway:
     # ------------------------------------------------------------------ #
 
     def start(self) -> "Gateway":
-        """Start the background dispatcher (idempotent)."""
-        if self._dispatcher is not None and self._dispatcher.is_alive():
-            return self
-        self._stop_event.clear()
-        self._stopping = False
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
+        """Start the worker pool (idempotent); schedules anything queued."""
+        with self._mail_lock:
+            if self._pool is not None:
+                return self
+            self._stopping = False
+            pool = self._pool = ThreadPoolExecutor(
                 max_workers=self._max_workers,
                 thread_name_prefix="repro-gateway",
             )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-gateway-dispatch", daemon=True
-        )
-        self._dispatcher.start()
+            queued = self._claim_idle()
+        for name in queued:
+            pool.submit(self._drain_mailbox, name)
         return self
 
-    def stop(self, *, timeout: float | None = 10.0) -> None:
-        """Stop dispatching; drains already-collected work, then shuts down.
+    def stop(self) -> None:
+        """Finish every queued op, then shut the worker pool down.
 
-        Requests still sitting in the inbox are processed by a final
-        synchronous :meth:`drain`, so no accepted future is left forever
-        pending; a submit racing this call drains its own op (see
-        :meth:`submit`).
+        Each pool drainer empties its own mailbox before the pool exits,
+        and a final :meth:`drain` handles what was queued while the
+        gateway was not started, so no accepted future is left forever
+        pending.  A submit racing this call, or arriving after it,
+        drains its own dataset on the calling thread.
         """
-        self._stopping = True
-        self._stop_event.set()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=timeout)
-            self._dispatcher = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        with self._mail_lock:
+            self._stopping = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
         self.drain()
 
     def __enter__(self) -> "Gateway":
@@ -301,79 +291,39 @@ class Gateway:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # ------------------------------------------------------------------ #
-    # dispatch
-    # ------------------------------------------------------------------ #
-
-    def _collect(self, *, block: bool) -> list[_PendingOp]:
-        """One micro-batch: first op (maybe blocking), then the window."""
-        ops: list[_PendingOp] = []
-        try:
-            first = self._inbox.get(timeout=0.05) if block else self._inbox.get_nowait()
-        except queue.Empty:
-            return ops
-        ops.append(first)
-        deadline = time.perf_counter() + self.batch_window
-        while len(ops) < self.max_batch:
-            remaining = deadline - time.perf_counter()
-            try:
-                if block and remaining > 0:
-                    ops.append(self._inbox.get(timeout=remaining))
-                else:
-                    ops.append(self._inbox.get_nowait())
-            except queue.Empty:
-                break
-        return ops
-
-    def _dispatch_loop(self) -> None:
-        while not self._stop_event.is_set():
-            ops = self._collect(block=True)
-            if ops:
-                self._route(ops, inline=False)
-
-    def _route(self, ops: list[_PendingOp], *, inline: bool) -> None:
-        """File ops into per-dataset mailboxes; schedule idle datasets."""
-        self.metrics.record_batch(len(ops))
-        to_schedule: list[str] = []
-        with self._mail_lock:
-            for op in ops:
-                self._mailboxes.setdefault(op.dataset, deque()).append(op)
-            for name in {op.dataset for op in ops}:
-                if name not in self._scheduled:
-                    self._scheduled.add(name)
-                    to_schedule.append(name)
-        for name in to_schedule:
-            if inline or self._pool is None:
-                self._drain_mailbox(name)
-            else:
-                self._pool.submit(self._drain_mailbox, name)
-
     def drain(self) -> int:
         """Synchronously process everything queued; returns ops handled.
 
-        Single-threaded alternative to the background dispatcher for
-        tests and replay benchmarks — coalescing and fencing behave
-        identically.  Concurrent drain() calls serialize on an internal
-        lock (the stop()/submit() shutdown race funnels through here),
-        but do not call it alongside a *running* dispatcher thread —
-        stop() and racing submits join the dispatcher before draining.
+        Single-threaded alternative to the worker pool for tests and
+        replay benchmarks — coalescing and fencing behave identically:
+        each dataset's queued ops form one run.  Mailboxes another
+        thread is already draining are left to that thread.
         """
-        handled = 0
-        with self._drain_lock:
-            while True:
-                ops = self._collect(block=False)
-                if not ops:
-                    break
-                handled += len(ops)
-                self._route(ops, inline=True)
-        return handled
+        with self._mail_lock:
+            names = self._claim_idle()
+        return sum(self._drain_mailbox(name) for name in names)
+
+    def _claim_idle(self) -> list[str]:
+        """Claim every unowned non-empty mailbox (under ``_mail_lock``)."""
+        names = [
+            name
+            for name, box in self._mailboxes.items()
+            if box and name not in self._scheduled
+        ]
+        self._scheduled.update(names)
+        return names
 
     # ------------------------------------------------------------------ #
     # per-dataset execution (the actor body)
     # ------------------------------------------------------------------ #
 
-    def _drain_mailbox(self, name: str) -> None:
-        """Process ``name``'s mailbox until empty, FIFO, under its lock."""
+    def _drain_mailbox(self, name: str) -> int:
+        """Process ``name``'s mailbox until empty, FIFO, under its lock.
+
+        Each pass takes the whole mailbox as one run: whatever queued
+        while the previous run executed.  Returns the ops handled.
+        """
+        handled = 0
         while True:
             with self._mail_lock:
                 box = self._mailboxes.get(name)
@@ -382,7 +332,9 @@ class Gateway:
                     box.clear()
                 if not ops:
                     self._scheduled.discard(name)
-                    return
+                    return handled
+            handled += len(ops)
+            self.metrics.record_batch(len(ops))
             try:
                 lock = self.registry.lock_for(name)
             except KeyError as exc:
@@ -468,23 +420,38 @@ class Gateway:
         self.metrics.observe_request(name, time.perf_counter() - op.enqueued)
         op.future.set_result(version)
 
-    def _record_phases(self, name: str, solution) -> None:
-        """Feed a solve's per-phase breakdown into the metrics, once.
+    def _record_solve(
+        self, name: str, solution, seconds: float, planner, plan
+    ) -> None:
+        """Account one solver run, once per fresh :class:`Solution`.
 
-        Solutions are memoized and fanned out to coalesced peers, so the
-        phase timings (recorded by the solver at solve time) are consumed
-        exactly once per underlying solve — a marker in the stats dict
-        keeps cache hits from re-reporting the original solve's phases.
+        Solutions are memoized and fanned out to coalesced peers, so a
+        marker in the stats dict tells a fresh solve from a memo hit:
+        only the first sighting counts a solve, its seconds, its planner
+        observation and its phase breakdown (recorded by the solver at
+        solve time).  Memo hits and followers record only their request
+        latency.
         """
-        stats = getattr(solution, "stats", None)
-        if not isinstance(stats, dict):
+        stats = solution.stats
+        if stats.get("_solve_recorded"):
             return
+        stats["_solve_recorded"] = True
+        self.metrics.incr(name, "solves")
+        self.metrics.observe_solve(name, seconds)
+        if planner is not None and plan is not None:
+            # The feedback loop: the same measurement observe_solve
+            # records, attributed to the exact planned configuration.
+            planner.observe(
+                name,
+                plan.algorithm,
+                int(plan.stats.k),
+                seconds,
+                eps=plan.solver_kwargs().get("epsilon"),
+            )
         phases = stats.get("phases")
-        if not isinstance(phases, dict) or stats.get("_phases_recorded"):
-            return
-        stats["_phases_recorded"] = True
-        for phase, seconds in phases.items():
-            self.metrics.observe_phase(name, str(phase), float(seconds))
+        if isinstance(phases, dict):
+            for phase, phase_seconds in phases.items():
+                self.metrics.observe_phase(name, str(phase), float(phase_seconds))
 
     def _solve_run(self, name: str, run: list[_PendingOp]) -> None:
         """Coalesce one uninterrupted query run and solve each key once."""
@@ -575,20 +542,9 @@ class Gateway:
                         op.trace.annotate(error=type(exc).__name__)
                     op.future.set_exception(exc)
                 continue
-            solve_seconds = time.perf_counter() - t0
-            self.metrics.observe_solve(name, solve_seconds)
-            if planner is not None and plan is not None:
-                # The feedback loop: the same measurement observe_solve
-                # records, attributed to the exact planned configuration.
-                planner.observe(
-                    name,
-                    plan.algorithm,
-                    int(plan.stats.k),
-                    solve_seconds,
-                    eps=plan.solver_kwargs().get("epsilon"),
-                )
-            self.metrics.incr(name, "solves")
-            self._record_phases(name, solution)
+            self._record_solve(
+                name, solution, time.perf_counter() - t0, planner, plan
+            )
             if len(live) > 1:
                 self.metrics.incr(name, "coalesced", len(live) - 1)
             for op in live:

@@ -346,7 +346,7 @@ class ServiceMetrics:
             }
 
     def record_batch(self, num_requests: int) -> None:
-        """One gateway dispatch cycle covering ``num_requests`` requests."""
+        """One gateway mailbox run: ``num_requests`` ops of one dataset."""
         with self._lock:
             self._batches += 1
             self._batched_requests += int(num_requests)

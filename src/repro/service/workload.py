@@ -191,7 +191,6 @@ def run_service_benchmark(
     hot_frac: float = 0.7,
     seed: int = 0,
     default_seed: int = 7,
-    batch_window: float = 0.005,
     max_bytes: int | None = None,
     build_workers: int = 0,
     naive: bool = True,
@@ -238,7 +237,7 @@ def run_service_benchmark(
         registry.register(
             name, data, build_workers=build_workers, default_seed=default_seed
         )
-    gateway = Gateway(registry, batch_window=batch_window)
+    gateway = Gateway(registry)
     t0 = time.perf_counter()
     with gateway:
         futures = [

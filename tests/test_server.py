@@ -822,6 +822,9 @@ class TestConfig:
             parse_config({"server": {"prot": 1}})
         with pytest.raises(ValueError, match="warmup"):
             parse_config({"server": {"warmup": False}})  # retired knob
+        for knob in ("batch_window", "max_batch"):  # the retired batch window
+            with pytest.raises(ValueError, match=knob):
+                parse_config({"server": {knob: 1}})
         with pytest.raises(ValueError, match="unknown keys"):
             parse_config({"datasets": [{"name": "a", "sise": 5}]})
         with pytest.raises(ValueError, match="top-level"):

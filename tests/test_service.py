@@ -27,6 +27,7 @@ from repro.service import (
     LatencyHistogram,
     ServiceMetrics,
     build_index_sharded,
+    build_tenant_datasets,
     build_tenant_workload,
     parallel_preprocess,
     run_service_benchmark,
@@ -428,7 +429,7 @@ class TestGateway:
         assert reg.metrics.snapshot()["totals"]["errors"] == 3
 
     def test_concurrent_submits_match_direct_queries(self):
-        reg, gw = self.make(batch_window=0.001)
+        reg, gw = self.make()
         ks = [4, 5, 6, 4, 5, 6, 4, 4]
         with gw:
             with ThreadPoolExecutor(max_workers=4) as clients:
@@ -523,13 +524,14 @@ class TestGateway:
 
     def test_submit_during_stop_never_strands_futures(self):
         # Stress the stop()/submit() race: producers keep submitting
-        # while stop() runs.  Every accepted future must resolve — the
-        # final drain is serialized behind the dispatcher join, so no op
-        # is lost between the dispatcher's last cycle and shutdown.
+        # while stop() runs.  Every accepted future must resolve — a
+        # submit that finds the pool shut down (or already detached)
+        # drains its dataset on its own thread, and each pool drainer
+        # empties its mailbox before the pool exits.
         import threading
 
         for _ in range(5):
-            reg, gw = self.make(batch_window=0.0005)
+            reg, gw = self.make()
             gw.start()
             results: list[list] = [[] for _ in range(3)]
 
@@ -554,9 +556,9 @@ class TestGateway:
                     assert_same_solution(f.result(timeout=10), reg.get("a").query(k))
 
     def test_cross_dataset_parallelism_is_safe(self):
-        # Hammer two datasets from many threads through the running
-        # dispatcher; every answer must equal the direct solve.
-        reg, gw = self.make(batch_window=0.0005, max_workers=4)
+        # Hammer two datasets from many threads through the started
+        # gateway; every answer must equal the direct solve.
+        reg, gw = self.make(max_workers=4)
         with gw:
             futures = []
             for i in range(30):
@@ -590,6 +592,119 @@ class TestGateway:
         totals = reg.metrics.snapshot()["totals"]
         assert totals["solves"] == 3
         assert totals["coalesced"] == 1
+
+    def test_backlog_queued_during_a_solve_is_the_next_run(self):
+        # No clock: whatever queues while a dataset's run executes is its
+        # next run.  Hold the first solve open, queue a burst behind it,
+        # release: the burst is one run, its duplicates coalesced and
+        # its repeat of the held key answered from the memo.
+        import threading
+
+        reg, gw = self.make()
+        index = reg.get("a")
+        original = index.query
+        entered, release = threading.Event(), threading.Event()
+
+        def held_query(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                if not release.wait(timeout=60):
+                    raise TimeoutError("the test never released the solve")
+            return original(*args, **kwargs)
+
+        index.query = held_query
+        try:
+            with gw:
+                first = gw.submit("a", 4)
+                assert entered.wait(timeout=60)
+                burst = [gw.submit("a", 6) for _ in range(5)]
+                repeat = gw.submit("a", 4)
+                release.set()
+                results = [f.result(timeout=60) for f in [first, *burst, repeat]]
+        finally:
+            release.set()
+            index.query = original
+        data = tenant(seed=36, name="a")
+        assert_same_solution(results[0], FairHMSIndex(data).query(4))
+        for r in results[1:6]:
+            assert r is results[1]  # one solve fanned out to the burst
+            assert_same_solution(r, FairHMSIndex(data).query(6))
+        assert results[6] is results[0]
+        snap = reg.metrics.snapshot()
+        assert (snap["batches"], snap["batched_requests"]) == (2, 7)
+        assert snap["totals"]["solves"] == 2  # the repeat is no solve
+        assert snap["totals"]["coalesced"] == 4
+        assert index.cache_info()["result_hits"] == 1
+
+    def test_concurrent_producers_drain_every_op_exactly_once(self):
+        # More producers than cores and a tiny switch interval: each op
+        # is drained once, by whichever thread owns its dataset's
+        # mailbox — none is stranded, none runs twice.
+        import sys
+        import threading
+
+        reg, gw = self.make(max_workers=4)
+        direct = {(name, k): reg.get(name).query(k) for name in "ab" for k in (4, 5, 6)}
+        buckets: list[list] = [[] for _ in range(6)]
+
+        def producer(i):
+            for j in range(40):
+                name, k = "ab"[(i + j) % 2], 4 + j % 3
+                buckets[i].append((name, k, gw.submit(name, k)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with gw:
+                threads = [
+                    threading.Thread(target=producer, args=(i,)) for i in range(6)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                for bucket in buckets:
+                    for name, k, f in bucket:
+                        assert f.result(timeout=60) is direct[name, k]
+        finally:
+            sys.setswitchinterval(interval)
+        snap = reg.metrics.snapshot()
+        assert snap["batched_requests"] == snap["totals"]["requests"] == 240
+
+    def test_memo_hits_are_not_counted_as_solves(self):
+        # One stream replayed twice through one drained gateway: the
+        # second pass is all memo hits.  Solves, solve latency and
+        # planner feedback count solver runs only.
+        datasets = build_tenant_datasets(350)
+        reg = DatasetRegistry()
+        for name, data in datasets.items():
+            reg.register(name, data, default_seed=7)
+        gw = Gateway(reg)
+        stream = build_tenant_workload(datasets, num_requests=24, seed=3)
+        observed = reg.planner.stats()["observations"]
+        for _ in range(2):
+            futures = [
+                gw.submit(
+                    r.dataset,
+                    r.query.k,
+                    eps=r.query.eps,
+                    algorithm=r.query.algorithm,
+                    alpha=r.query.alpha,
+                )
+                for r in stream
+            ]
+            gw.drain()
+            for f in futures:
+                f.result(timeout=0)
+        misses = {
+            name: reg.get(name).cache_info()["result_misses"] for name in datasets
+        }
+        snap = reg.metrics.snapshot()
+        assert snap["totals"]["solves"] == sum(misses.values()) == 9
+        for name, block in snap["datasets"].items():
+            assert block["solve_latency"]["count"] == misses[name]
+        assert reg.planner.stats()["observations"] - observed == 9
 
 
 class TestMetrics:
