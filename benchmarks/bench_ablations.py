@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the reproduction's own design choices.
 
 Not a paper figure — these quantify the reproduction's own engineering
 decisions so deviations from the paper's pseudocode stay measured:

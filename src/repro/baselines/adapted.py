@@ -12,8 +12,8 @@ Two adaptation schemes are evaluated in the paper:
   among the groups the fairness matroid still accepts.  The paper evaluates
   marginals with exact linear programs; we default to the exact 2-D sweep
   when ``d = 2`` and a dense evaluation net otherwise, with
-  ``marginals="lp"`` restoring the paper's exact variant (see DESIGN.md,
-  substitution 3).
+  ``marginals="lp"`` restoring the paper's exact variant (see
+  docs/ALGORITHMS.md, "Substitutions", item 3).
 """
 
 from __future__ import annotations

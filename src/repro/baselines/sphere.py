@@ -1,7 +1,7 @@
 """Sphere: the epsilon-kernel RMS algorithm (Xie et al., SIGMOD 2018).
 
-Reproduced at the level the paper's evaluation exercises (see DESIGN.md,
-substitution 4): Sphere first takes the ``d`` "boundary" points — the best
+Reproduced at the level the paper's evaluation exercises (see
+docs/ALGORITHMS.md, "Substitutions", item 4): Sphere first takes the ``d`` "boundary" points — the best
 point per dimension — then fills the remaining ``k - d`` slots with the
 best response to directions spread evenly over ``S^{d-1}_+`` (the
 construction behind its epsilon-kernel guarantee).  Its signature behaviour

@@ -47,6 +47,7 @@ import numpy as np
 from ..data.dataset import Dataset
 from ..fairness.constraints import FairnessConstraint
 from ..fairness.matroid import FairnessMatroid
+from ..geometry.envelope import _EPS as _PASS_EPS
 from ..geometry.envelope import Envelope, tau_intervals_bulk, upper_envelope
 from ..hms.exact import mhr_exact_2d_with_env
 from .intervalcover import GroupIntervals, fair_interval_cover
@@ -127,12 +128,19 @@ def candidate_mhr_values(points: np.ndarray, envelope: Envelope | None = None) -
 
 
 class TauLadder:
-    """A sorted sample of ``H`` (the rungs) and the exact ``H`` between rungs.
+    """A sorted sample of ``H`` (the rungs), the exact ``H`` between rungs,
+    and IntCov's interval pass.
+
+    The ladder owns the bounded pass (:meth:`intervals`): each point's
+    *peak ratio*, computed once here, bounds the happiness ratio it can
+    reach anywhere on ``[0, 1]``, so a pass at ``tau`` runs
+    :func:`tau_intervals_bulk` only over the points whose peak can clear
+    ``tau`` — at the ``tau`` the search probes, a few percent of them.
 
     Depends only on the points and their envelope — never on a
     constraint — so the serving layer keeps one per skyline beside the
     envelope (:meth:`repro.serving.SolverArtifacts.tau_ladder`) and every
-    query reuses its rungs and listed brackets.
+    query reuses its rungs, peak ratios and listed brackets.
     """
 
     def __init__(self, points: np.ndarray, envelope: Envelope) -> None:
@@ -152,16 +160,73 @@ class TauLadder:
         self.rungs = np.unique(
             _admit(np.concatenate([_axis_values(x, self._y, envelope), sampled]))
         )
+        # Peak ratio: each point's largest f_p / env over the envelope's
+        # piece endpoints.  On a piece env is linear, so where it is
+        # positive f_p / env is linear-fractional, hence monotone, and the
+        # endpoint maximum is the point's best ratio over [0, 1].  Each
+        # piece is evaluated with its own line at its own ends, the values
+        # the pass compares against; an end where env is 0 bounds nothing.
+        ends = np.concatenate([envelope.breaks[:-1], envelope.breaks[1:]])
+        lines = np.concatenate([envelope.lines, envelope.lines])
+        env_at = lines[:, 0] * ends + lines[:, 1]
+        scores = self._slope[:, None] * ends + self._y[:, None]
+        self.peak = np.divide(
+            scores, env_at, out=np.full(scores.shape, np.inf), where=env_at > 0.0
+        ).max(axis=1)
+        # Margin, from the pass's own tolerances (eps = 1e-12 in lam and in
+        # beta).  Write s_p, m_t for the slopes of point p and of piece t
+        # on [a_t, b_t], and g = alpha * lam + beta = f_p - tau * env_t.
+        # The pass marks p feasible only if, on some piece,
+        #   |alpha| <= eps and beta >= -eps:  g(a_t) >= -2 eps;
+        #   alpha > eps, crossing <= b_t + eps:  g(b_t) >= -|alpha| eps;
+        #   alpha < -eps, crossing >= a_t - eps:  g(a_t) >= -|alpha| eps;
+        # with |alpha| <= |s_p| + |m_t|.  So at an endpoint lam* of that
+        # piece f_p - tau * env_t >= -K, K = eps (2 + max|s| + max|m|) plus
+        # rounding: alpha, beta, the crossing and the quotients above each
+        # err by a few ulps of the largest line coefficient (8 covers
+        # them).  Dividing by env_t(lam*) >= env_min (itself less its
+        # rounding) gives peak_p >= tau - K / env_min: a point below that
+        # reaches tau nowhere, and skipping it changes no answer.  Four
+        # ulps more cover the quotient and the subtraction tau - margin.
+        # Where env_min is 0 the margin is +inf and every row is kept.
+        ulp = np.finfo(np.float64).eps
+        slopes = np.abs(self._slope).max() + np.abs(envelope.lines[:, 0]).max()
+        scale = slopes + self._y.max() + np.abs(envelope.lines[:, 1]).max()
+        k_bound = _PASS_EPS * (2.0 + slopes) + 8.0 * ulp * scale
+        env_min = max(env_at.min() - 2.0 * ulp * scale, 0.0)
+        with np.errstate(divide="ignore"):
+            self._margin = np.float64(k_bound) / env_min + 4.0 * ulp
         self._brackets: OrderedDict[int, np.ndarray] = OrderedDict()
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the rungs, the slopes and the cached brackets."""
+        """Resident bytes of the rungs, slopes, peak ratios and brackets."""
         return int(
             self.rungs.nbytes
             + self._slope.nbytes
+            + self.peak.nbytes
             + sum(values.nbytes for values in list(self._brackets.values()))
         )
+
+    def intervals(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`tau_intervals_bulk` at ``tau``, run only where it can pass.
+
+        Returns full-length ``(lo, hi, ok)`` over the ladder's points.  The
+        pass runs over the rows whose peak ratio reaches ``tau`` less the
+        margin, in ascending order; a skipped row would fail the full pass
+        too, and every row's arithmetic is independent of the others, so
+        ``ok`` equals the full pass's and ``lo``/``hi`` are bit-identical
+        wherever ``ok``.  Skipped rows read ``(0, 0, False)``.
+        """
+        n = self._points.shape[0]
+        rows = np.flatnonzero(self.peak >= tau - self._margin)
+        if rows.size == n:  # low tau: no gather, no scatter
+            return tau_intervals_bulk(self._points, self._envelope, tau)
+        lo, hi, ok = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+        lo[rows], hi[rows], ok[rows] = tau_intervals_bulk(
+            self._points.take(rows, axis=0), self._envelope, tau
+        )
+        return lo, hi, ok
 
     def bracket(self, rank: int) -> np.ndarray:
         """``H`` strictly between ``rungs[rank]`` and ``rungs[rank + 1]``.
@@ -192,16 +257,12 @@ class TauLadder:
         if tau_a is None or tau_a - _FLANK_MARGIN <= 0.0:
             lo_a, hi_a, ok_a = np.zeros(n), np.ones(n), np.ones(n, dtype=bool)
         else:
-            lo_a, hi_a, ok_a = tau_intervals_bulk(
-                self._points, self._envelope, tau_a - _FLANK_MARGIN
-            )
+            lo_a, hi_a, ok_a = self.intervals(tau_a - _FLANK_MARGIN)
         if tau_b is None or tau_b + _FLANK_MARGIN > 1.0:
             lo_b = hi_b = np.zeros(n)
             ok_b = np.zeros(n, dtype=bool)
         else:
-            lo_b, hi_b, ok_b = tau_intervals_bulk(
-                self._points, self._envelope, tau_b + _FLANK_MARGIN
-            )
+            lo_b, hi_b, ok_b = self.intervals(tau_b + _FLANK_MARGIN)
         # A point whose inner interval is empty lost all of its outer one;
         # otherwise it lost a left and a right flank.
         whole = np.nonzero(ok_a & ~ok_b)[0]
@@ -355,21 +416,19 @@ def _search(ladder: TauLadder, decide, tau_hint: float | None):
 
 
 def _intervals_by_group(
-    points: np.ndarray,
-    envelope: Envelope,
+    ladder: TauLadder,
     tau: float,
     group_masks: list[np.ndarray],
 ) -> list[GroupIntervals]:
-    """Compute ``I_tau(p)`` for every point, indexed by group.
+    """Compute ``I_tau(p)`` for every point that reaches ``tau``, by group.
 
-    Fully array-based: the old per-point tuple loop is replaced by masked
-    slices of the bulk interval arrays, fed straight into the vectorized
-    :meth:`GroupIntervals.from_arrays` constructor.  Within each group the
-    points keep ascending index order, so the resulting interval indexes —
-    and every cover computed from them — are bit-identical to the scalar
-    construction.
+    The ladder's bounded pass (:meth:`TauLadder.intervals`) feeds masked
+    slices straight into :meth:`GroupIntervals.from_arrays`.  Within each
+    group the points keep ascending index order, so the resulting interval
+    indexes — and every cover computed from them — are bit-identical to
+    the scalar construction.
     """
-    lo, hi, ok = tau_intervals_bulk(points, envelope, tau)
+    lo, hi, ok = ladder.intervals(tau)
     buckets: list[GroupIntervals] = []
     for mask in group_masks:
         sel = np.nonzero(ok & mask)[0]
@@ -479,7 +538,7 @@ def intcov(
     def decide(tau: float):
         nonlocal evaluations
         evaluations += 1
-        buckets = _intervals_by_group(points, envelope, tau, group_masks)
+        buckets = _intervals_by_group(ladder, tau, group_masks)
         return fair_interval_cover(buckets, constraint)
 
     t0 = perf_counter()

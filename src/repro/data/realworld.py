@@ -1,8 +1,8 @@
 """Offline simulacra of the paper's four real-world datasets.
 
 The originals (Lawschs/LSAC, Adult, Compas, Credit) are downloads the
-reproduction environment cannot fetch.  Following the substitution rule in
-DESIGN.md, each is replaced by a seeded generator matching the properties
+reproduction environment cannot fetch.  Following docs/ALGORITHMS.md,
+"Substitutions", item 1, each is replaced by a seeded generator matching the properties
 the FairHMS experiments actually exercise:
 
 * the published row count ``n`` and dimensionality ``d`` (Table 2),

@@ -1,7 +1,8 @@
 """Experiment harness: one runner per table/figure of the paper.
 
-See DESIGN.md section 4 for the per-experiment index and
-``python -m repro.experiments.run_all`` to regenerate EXPERIMENTS.md.
+See docs/ALGORITHMS.md, "Benchmark → figure/table map", for the
+per-experiment index and ``python -m repro.experiments.run_all`` to
+regenerate EXPERIMENTS.md.
 """
 
 from .ablation_constraints import (

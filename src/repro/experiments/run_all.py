@@ -6,7 +6,9 @@ Usage::
 
 ``--fast`` shrinks every workload further (a couple of minutes end to
 end); the default scaled configuration takes tens of minutes; the paper's
-full sizes can be reproduced by editing the per-figure configs.
+full sizes can be reproduced by editing the per-figure configs.  The
+command exits 1, naming the failures on stderr, when any paper-shape
+check fails.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import sys
 import time
 
+from ..benchio import git_sha
 from .ablation_constraints import (
     AblationConstraintsConfig,
     render_ablation_constraints,
@@ -106,6 +109,11 @@ def _fast_configs() -> dict:
 
 def run_all(*, fast: bool = False, out: str | None = None) -> str:
     """Run every experiment; returns (and optionally writes) the report."""
+    return _run(fast=fast, out=out)[0]
+
+
+def _run(*, fast: bool, out: str | None) -> tuple[str, list[str]]:
+    """The report, and the names of the paper-shape checks that failed."""
     configs = _fast_configs() if fast else {}
     sections: list[str] = []
     started = time.time()
@@ -188,10 +196,11 @@ def run_all(*, fast: bool = False, out: str | None = None) -> str:
         "# EXPERIMENTS — paper vs. measured\n\n"
         "Generated by `python -m repro.experiments.run_all"
         + (" --fast" if fast else "")
-        + "`.\n\n"
-        "Workloads are scaled down from the paper's sizes (see DESIGN.md,\n"
-        "substitution 2); qualitative shapes, not absolute numbers, are the\n"
-        "reproduction target. Times are pure-Python milliseconds.\n"
+        + f"` at commit `{git_sha() or 'unknown'}`.\n\n"
+        "Workloads are scaled down from the paper's sizes (see\n"
+        "docs/ALGORITHMS.md, \"Substitutions\"); qualitative shapes, not\n"
+        "absolute numbers, are the reproduction target. Times are\n"
+        "pure-Python milliseconds.\n"
     )
     report = header + "\n" + "\n\n".join(sections) + "\n"
     if out:
@@ -199,17 +208,21 @@ def run_all(*, fast: bool = False, out: str | None = None) -> str:
             fh.write(report)
         log(f"wrote {out}")
     log("done")
-    return report
+    return report, [s.name for s in shapes if not s.passed]
 
 
 def main(argv=None) -> int:
+    """Exit status 1 when any paper-shape check fails, else 0."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true", help="smallest workloads")
     parser.add_argument("--out", default=None, help="write the report here")
     args = parser.parse_args(argv)
-    report = run_all(fast=args.fast, out=args.out)
+    report, failed = _run(fast=args.fast, out=args.out)
     if not args.out:
         print(report)
+    if failed:
+        print("paper-shape checks failed: " + ", ".join(failed), file=sys.stderr)
+        return 1
     return 0
 
 

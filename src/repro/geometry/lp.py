@@ -8,9 +8,10 @@ The classic decomposition (Nanongkai et al., VLDB 2010): for a fixed subset
                   <u, p> + x <= 1     for every p in S
                   u >= 0
 
-For any feasible ``(u, x)`` one has ``x <= rr(u) <= MRR`` (proof in
-DESIGN.md), and the maximizing direction together with its true best point
-attains equality, so
+For any feasible ``(u, x)`` one has ``x <= rr(u) <= MRR``: at ``u`` the
+best score in ``S`` is at most ``1 - x`` and the best in ``D`` at least
+``q``'s score 1, so ``rr(u) >= 1 - (1 - x) / 1 = x``.  The maximizing
+direction together with its true best point attains equality, so
 
     mrr(S, D) = max over q in maxima-candidates(D) of LP(q),
 

@@ -5,7 +5,8 @@ constraint-independent) state: BiGreedy needs a delta-net and the
 ``(m, n)`` score-ratio matrix of a :class:`~repro.hms.truncated.
 TruncatedEngine`; IntCov needs the upper score-line envelope and its
 :class:`~repro.core.intcov.TauLadder` (sampled rungs of the candidate-MHR
-set plus the brackets listed between them).  :class:`SolverArtifacts`
+set, the brackets listed between them and each point's peak ratio, which
+bounds the rows an interval pass must visit).  :class:`SolverArtifacts`
 owns one dataset and lazily builds and caches each artifact on first use,
 so a query-serving layer (or any caller issuing many solves against one
 dataset) pays for each at most once.
@@ -352,7 +353,7 @@ class SolverArtifacts:
         Sums every numpy array reachable from the caches — nets, engine
         score matrices (the dominant term: one ``(m, n)`` matrix per
         distinct ``(m, seed)``), the 2-D envelope, and the tau ladder with
-        its listed brackets.  Used by the service registry's byte-budgeted
+        its per-point slopes and peak ratios and its listed brackets.  Used by the service registry's byte-budgeted
         eviction; safe to call while another thread fills the caches
         (snapshots, partial counts on a race — an estimate, never
         corruption).

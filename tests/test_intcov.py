@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.intcov import (
-    _intervals_by_group,
+    TauLadder,
     _pad_to_k,
     candidate_mhr_values,
     intcov,
 )
-from repro.core.intervalcover import fair_interval_cover
+from repro.core.intervalcover import GroupIntervals, fair_interval_cover
 from repro.data.dataset import Dataset
 from repro.data.synthetic import (
     anticorrelated,
@@ -20,7 +20,7 @@ from repro.data.synthetic import (
     independent,
 )
 from repro.fairness.constraints import FairnessConstraint
-from repro.geometry.envelope import upper_envelope
+from repro.geometry.envelope import tau_interval, tau_intervals_bulk, upper_envelope
 from repro.hms.exact import mhr_exact_2d
 from repro.serving import SolverArtifacts
 
@@ -167,7 +167,9 @@ class TestIntCovSolutionShape:
 def search_over_h(dataset, constraint):
     """Paper Algorithm 1 as written: binary search over the full ``H``.
 
-    Returns ``(tau, indices)`` for the largest feasible candidate.
+    Every decision computes ``I_tau(p)`` for every point, with no bound on
+    which points can reach ``tau``.  Returns ``(tau, indices)`` for the
+    largest feasible candidate.
     """
     points = dataset.points
     envelope = upper_envelope(points)
@@ -177,7 +179,11 @@ def search_over_h(dataset, constraint):
     best_tau, best_set = 0.0, []
     while lo <= hi:
         mid = (lo + hi) // 2
-        buckets = _intervals_by_group(points, envelope, float(H[mid]), masks)
+        left, right, ok = tau_intervals_bulk(points, envelope, float(H[mid]))
+        buckets = []
+        for mask in masks:
+            sel = np.nonzero(ok & mask)[0]
+            buckets.append(GroupIntervals.from_arrays(left[sel], right[sel], sel))
         cover = fair_interval_cover(buckets, constraint)
         if cover is None:
             hi = mid - 1
@@ -271,3 +277,50 @@ class TestLadderSearchMatchesFullH:
                 got = intcov(sky, constraint, artifacts=artifacts, tau_hint=hint)
                 assert got.stats["tau"] == tau
                 np.testing.assert_array_equal(got.indices, indices)
+
+
+def bound_points(family, n, seed):
+    """``family_points`` plus the shapes that stress the bound's margin."""
+    if family == "zero-y":  # env(0) = 0: the margin is +inf
+        points = independent(n, 2, seed=seed)
+        points[:, 1] = 0.0
+        return points
+    if family == "skewed":  # column maxima 1e3 and 1e-3
+        points = anticorrelated(n, 2, seed=seed)
+        return points / points.max(axis=0) * np.array([1e3, 1e-3])
+    if family == "tiny":
+        return anticorrelated(n, 2, seed=seed) * 1e-6
+    return family_points(family, n, seed)
+
+
+class TestBoundedIntervalPass:
+    """``TauLadder.intervals`` skips only points whose peak ratio cannot
+    reach tau: it marks exactly the rows feasible that the full pass over
+    all points marks, with bit-identical endpoints."""
+
+    @pytest.mark.parametrize("family", FAMILIES + ("zero-y", "skewed", "tiny"))
+    @pytest.mark.parametrize("n,seed", [(3, 1), (40, 2), (600, 3)])
+    @pytest.mark.parametrize("skyline", [False, True])
+    def test_matches_the_full_pass(self, family, n, seed, skyline):
+        points = bound_points(family, n, seed)
+        if skyline:
+            labels = np.zeros(points.shape[0], dtype=np.int64)
+            points = Dataset(points=points, labels=labels).skyline().points
+        envelope = upper_envelope(points)
+        ladder = TauLadder(points, envelope)
+        rng = np.random.default_rng([seed, len(family)])
+        rungs = ladder.rungs
+        taus = np.concatenate([rungs, rungs - 1e-9, rungs + 1e-9, rng.random(20)])
+        taus = taus[(taus >= 0.0) & (taus <= 1.0)]
+        for tau in taus.tolist():
+            lo, hi, ok = tau_intervals_bulk(points, envelope, tau)
+            b_lo, b_hi, b_ok = ladder.intervals(tau)
+            assert (b_ok == ok).all(), tau
+            assert (b_lo[ok].view(np.int64) == lo[ok].view(np.int64)).all(), tau
+            assert (b_hi[ok].view(np.int64) == hi[ok].view(np.int64)).all(), tau
+        for tau in rng.choice(taus, 5).tolist():
+            b_lo, b_hi, b_ok = ladder.intervals(tau)
+            for row in rng.choice(points.shape[0], min(8, points.shape[0]), replace=False):
+                scalar = tau_interval(points[row], envelope, tau)
+                got = (float(b_lo[row]), float(b_hi[row])) if b_ok[row] else None
+                assert got == scalar, (row, tau)

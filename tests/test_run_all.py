@@ -4,15 +4,15 @@ import importlib
 from types import SimpleNamespace
 
 from repro.experiments.common import Record
+from repro.experiments.shapes import ShapeCheck
 
 # ``repro.experiments.run_all`` the *attribute* is the re-exported function;
 # importlib fetches the module itself for monkeypatching.
 run_all_module = importlib.import_module("repro.experiments.run_all")
 
 
-def test_run_all_assembles_report(monkeypatch, tmp_path):
-    """Patch every runner with canned results; check report structure."""
-
+def stub_runners(monkeypatch):
+    """Patch every runner with canned results."""
     ex_result = SimpleNamespace(
         name="hms_k2",
         selected={"a4", "a5"},
@@ -55,7 +55,20 @@ def test_run_all_assembles_report(monkeypatch, tmp_path):
             ]
         },
     )
+    monkeypatch.setattr(
+        run_all_module, "run_ablation_constraints",
+        lambda cfg=None: {
+            "panel": [
+                Record("ablation", "panel", "proportional", "k", 6,
+                       mhr=0.9, extra={"counts": [3, 3]}),
+            ]
+        },
+    )
 
+
+def test_run_all_assembles_report(monkeypatch, tmp_path):
+    """Canned results in; check report structure."""
+    stub_runners(monkeypatch)
     out = tmp_path / "EXPERIMENTS.md"
     report = run_all_module.run_all(fast=True, out=str(out))
     text = out.read_text()
@@ -72,6 +85,28 @@ def test_run_all_assembles_report(monkeypatch, tmp_path):
         "Paper-shape checks",
     ):
         assert section in text, f"missing section {section}"
+    assert "at commit `" in text
+
+
+def test_main_exits_1_when_a_shape_check_fails(monkeypatch, tmp_path, capsys):
+    stub_runners(monkeypatch)
+    out = str(tmp_path / "EXPERIMENTS.md")
+    monkeypatch.setattr(
+        run_all_module,
+        "check_all_shapes",
+        lambda **results: [
+            ShapeCheck("holds", True, ""),
+            ShapeCheck("breaks", False, "canned failure"),
+        ],
+    )
+    assert run_all_module.main(["--fast", "--out", out]) == 1
+    assert "paper-shape checks failed: breaks" in capsys.readouterr().err
+    monkeypatch.setattr(
+        run_all_module,
+        "check_all_shapes",
+        lambda **results: [ShapeCheck("holds", True, "")],
+    )
+    assert run_all_module.main(["--fast", "--out", out]) == 0
 
 
 def test_fast_configs_have_expected_keys():

@@ -114,6 +114,12 @@ class TestGeometryFootprint:
         info = index.cache_info()
         assert info["envelope_cached"] and info["ladder_cached"]
         assert info["cache_bytes"] < 1 << 20
+        # The ladder's peak ratios, 8 bytes a point beside its slopes,
+        # count toward the byte budget.
+        artifacts = index.artifacts
+        ladder = artifacts.tau_ladder()
+        assert ladder.peak.shape == (index.skyline.n,)
+        assert artifacts.cache_bytes() >= ladder.rungs.nbytes + 2 * ladder.peak.nbytes
 
     def test_byte_budget_keeps_answered_2d_tenants_resident(self):
         reg = DatasetRegistry(max_bytes=2 << 20)
