@@ -710,12 +710,12 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_experiments(args) -> int:
-    from .experiments.run_all import run_all
+    from .experiments.run_all import main
 
-    report = run_all(fast=args.fast, out=args.out)
-    if not args.out:
-        print(report)
-    return 0
+    argv = ["--fast"] if args.fast else []
+    if args.out:
+        argv += ["--out", args.out]
+    return main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -212,16 +212,21 @@ class TestCommands:
         import repro.cli as cli_module
 
         calls = {}
+        failed = []
 
-        def fake_run_all(*, fast, out):
+        def fake_run(*, fast, out):
             calls["fast"] = fast
             calls["out"] = out
-            return "REPORT"
+            return "REPORT", failed
 
         import importlib
 
         run_all_module = importlib.import_module("repro.experiments.run_all")
-        monkeypatch.setattr(run_all_module, "run_all", fake_run_all)
+        monkeypatch.setattr(run_all_module, "_run", fake_run)
         assert cli_module.main(["experiments", "--fast"]) == 0
         assert calls == {"fast": True, "out": None}
         assert "REPORT" in capsys.readouterr().out
+        # A failed paper-shape check fails the command too.
+        failed.append("breaks")
+        assert cli_module.main(["experiments", "--out", "report.md"]) == 1
+        assert calls == {"fast": False, "out": "report.md"}
