@@ -293,9 +293,15 @@ class ClusterRouter:
     # ------------------------------------------------------------------ #
 
     async def _health_loop(self) -> None:
-        while True:
+        # drain() cancels this task, but on Python < 3.12 a cancel that
+        # lands as a probe's wait_for completes is swallowed (CPython
+        # gh-86296) and the probe returns normally; the flag still ends
+        # the loop, so drain never waits on it forever.
+        while not self._draining:
             await asyncio.sleep(self.health_interval)
             for worker in list(self._workers.values()):
+                if self._draining:
+                    return
                 await self._probe(worker)
 
     async def _probe(self, worker: _Worker) -> None:

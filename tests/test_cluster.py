@@ -15,9 +15,11 @@ The load-bearing invariants:
   dataset's owner mid-run (WAL recovery).
 """
 
+import asyncio
 import json
 import logging
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from repro.client import (
     exception_for,
 )
 from repro.cluster import (
+    ClusterRouter,
     FairHMSCluster,
     HashRing,
     RouterThread,
@@ -526,6 +529,27 @@ class TestRouter:
             router.drain()
             for t in threads.values():
                 t.drain()
+
+    def test_drain_ends_health_loop_when_a_probe_swallows_the_cancel(
+        self, monkeypatch
+    ):
+        # Before Python 3.12, asyncio.wait_for drops a cancel that lands
+        # just as the awaited call completes (CPython gh-86296), so a
+        # probe can return normally after drain cancelled the loop.
+        probing = threading.Event()
+
+        async def probe(self, worker):
+            probing.set()
+            try:
+                await asyncio.Event().wait()
+            except asyncio.CancelledError:
+                pass  # swallowed, as wait_for does in that race
+
+        monkeypatch.setattr(ClusterRouter, "_probe", probe)
+        router = RouterThread({"w0": ("127.0.0.1", 9)}, health_interval=0.0)
+        router.start()
+        assert probing.wait(timeout=10)
+        router.drain(timeout=10)  # TimeoutError if the loop outlived the cancel
 
     def test_prometheus_exposition_renders(self):
         data = tenant(seed=51, name="a")
