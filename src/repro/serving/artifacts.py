@@ -353,10 +353,10 @@ class SolverArtifacts:
         Sums every numpy array reachable from the caches — nets, engine
         score matrices (the dominant term: one ``(m, n)`` matrix per
         distinct ``(m, seed)``), the 2-D envelope, and the tau ladder with
-        its per-point slopes and peak ratios and its listed brackets.  Used by the service registry's byte-budgeted
-        eviction; safe to call while another thread fills the caches
-        (snapshots, partial counts on a race — an estimate, never
-        corruption).
+        its per-point slopes and peak ratios and its listed brackets.
+        Used by the service registry's byte-budgeted eviction; safe to
+        call while another thread fills the caches (snapshots, partial
+        counts on a race — an estimate, never corruption).
         """
         total = 0
         try:
